@@ -15,10 +15,12 @@ candidate passed.  The stack:
    TB-redundant.
 3. **meld** — :func:`repro.staticlib.verify.verify_workload` with the
    ideal (thresholdless) DARM melder.
-4. **event-skip** — the DARSIE timing run with ``event_skip=True`` must
-   produce the exact ``SimulationResult.to_dict()`` of the
-   cycle-stepped run; the idle-cycle fast-forward may never change
-   simulated statistics.
+4. **event-skip** — the DARSIE timing run with ``event_skip=True``,
+   untraced and traced, must produce the exact
+   ``SimulationResult.to_dict()`` of the traced cycle-stepped run, and
+   the traced skipping run must record the stepped run's pipeline
+   trace event for event; the idle-cycle fast-forward may never change
+   simulated statistics or what a trace shows.
 5. **staged-pipeline** — the staged BASE pipeline drains cleanly, its
    per-stage counters are consistent, and its final memory matches the
    functional reference.
@@ -42,7 +44,8 @@ from repro.core.darsie import DarsieFrontend
 from repro.fuzz.spec import KernelSpec, build_fuzz_workload
 from repro.timing.config import small_config
 from repro.timing.frontend import Frontend, NullFrontend
-from repro.timing.gpu import SimulationResult, simulate
+from repro.timing.gpu import GPU, SimulationResult
+from repro.timing.pipeline_trace import PipelineTrace
 
 #: (tb_index, warp_id, "r"|"p", name) -> final lane vector.
 RegisterDump = Dict[Tuple[int, int, str, str], np.ndarray]
@@ -138,13 +141,15 @@ def _timing_run(
     spec: KernelSpec,
     frontend_factory: Callable[[], Frontend],
     event_skip: bool = True,
+    trace: Optional[PipelineTrace] = None,
 ) -> Tuple[SimulationResult, np.ndarray, RegisterDump]:
-    """One single-SM timing run; returns (result, memory words, registers)."""
+    """One single-SM timing run, recording into ``trace`` if given;
+    returns (result, memory words, registers)."""
     memory, params = spec.fresh_memory()
     registers: RegisterDump = {}
     config = small_config(num_sms=1, event_skip=event_skip)
     with np.errstate(all="ignore"):
-        result = simulate(
+        gpu = GPU(
             spec.program(),
             spec.launch(),
             memory,
@@ -152,6 +157,9 @@ def _timing_run(
             config=config,
             frontend_factory=lambda: CapturingFrontend(frontend_factory(), registers),
         )
+        if trace is not None:
+            gpu.attach_trace(trace)
+        result = gpu.run()
     return result, memory.words.copy(), registers
 
 
@@ -229,18 +237,30 @@ def oracle_meld(spec: KernelSpec) -> None:
 
 
 def oracle_event_skip(spec: KernelSpec) -> None:
-    """Idle-cycle fast-forward may not change any simulated statistic."""
+    """Idle-cycle fast-forward may not change any simulated statistic,
+    traced or not, nor what the pipeline trace records."""
     factory = _darsie_factory(spec)
+    skip_trace, step_trace = PipelineTrace(), PipelineTrace()
     skipped, _, _ = _timing_run(spec, factory, event_skip=True)
-    stepped, _, _ = _timing_run(spec, factory, event_skip=False)
-    a, b = skipped.to_dict(), stepped.to_dict()
-    if a != b:
-        diffs = [
-            f"{key}: skip={a.get(key)!r} step={b.get(key)!r}"
-            for key in sorted(set(a) | set(b))
-            if a.get(key) != b.get(key)
-        ]
-        raise OracleFailure("event-skip", spec, "\n".join(diffs))
+    traced, _, _ = _timing_run(spec, factory, event_skip=True, trace=skip_trace)
+    stepped, _, _ = _timing_run(spec, factory, event_skip=False, trace=step_trace)
+    b = stepped.to_dict()
+    for label, run in (("skip", skipped), ("traced skip", traced)):
+        a = run.to_dict()
+        if a != b:
+            diffs = [
+                f"{key}: {label}={a.get(key)!r} step={b.get(key)!r}"
+                for key in sorted(set(a) | set(b))
+                if a.get(key) != b.get(key)
+            ]
+            raise OracleFailure("event-skip", spec, "\n".join(diffs))
+    for view in ("events", "samples"):
+        if getattr(skip_trace, view) != getattr(step_trace, view):
+            raise OracleFailure(
+                "event-skip", spec,
+                f"traced skip run recorded different trace {view} "
+                "than the stepped run",
+            )
 
 
 def oracle_staged_pipeline(spec: KernelSpec) -> None:

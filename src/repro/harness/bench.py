@@ -42,14 +42,6 @@ from repro.workloads import ALL_ABBRS, build_workload
 #: variant list) so the gate knows *what* was benched, not just how fast.
 BENCH_SCHEMA = 2
 
-
-def __getattr__(name: str):
-    # The bench matrix is the registry's "bench"-tagged variants, as a
-    # live view so late registrations are benched too.
-    if name == "BENCH_CONFIGS":
-        return REGISTRY.by_tag("bench")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 #: Default wall-time regression gate: fail at >2x slower than baseline.
 DEFAULT_TOLERANCE = 2.0
 

@@ -532,11 +532,6 @@ def cache_path(spec: RunSpec, key: str, cache_dir: str) -> str:
     )
 
 
-def legacy_cache_path(spec: RunSpec, key: str, cache_dir: str) -> str:
-    """Pre-shard flat location (read-only migration path)."""
-    return os.path.join(cache_dir, f"{_cache_slug(spec)}-{key[:16]}.pkl")
-
-
 def checkpoint_path(spec: RunSpec, key: str, cache_dir: str) -> str:
     """On-disk location of one spec's in-flight simulation checkpoint.
 
@@ -577,31 +572,12 @@ def _cache_load(path: str, key: str) -> Tuple[Optional[object], str]:
 
 
 def cache_lookup(spec: RunSpec, key: str, cache_dir: str) -> Tuple[Optional[object], str]:
-    """Shard-aware cache probe: ``(result, status)``.
+    """Cache probe at the spec's sharded path: ``(result, status)``.
 
-    The sharded path is authoritative; on a miss there the pre-shard
-    flat location is consulted so stores written by older code keep
-    serving hits.  A flat hit is promoted — rewritten at the sharded
-    path and unlinked from the flat one — so the migration converges as
-    entries are touched.  This is the one read path both the sweep layer
-    and the serving front end (:mod:`repro.serve.store`) go through.
+    This is the one read path both the sweep layer and the serving
+    front end (:mod:`repro.serve.store`) go through.
     """
-    path = cache_path(spec, key, cache_dir)
-    result, status = _cache_load(path, key)
-    if status != "miss":
-        return result, status
-    legacy = legacy_cache_path(spec, key, cache_dir)
-    result, legacy_status = _cache_load(legacy, key)
-    if legacy_status == "hit":
-        if _cache_store(path, key, result):
-            try:
-                os.unlink(legacy)
-            except OSError:
-                pass
-        return result, "hit"
-    if legacy_status == "corrupt":
-        return None, "corrupt"
-    return None, "miss"
+    return _cache_load(cache_path(spec, key, cache_dir), key)
 
 
 #: temp-file suffix patterns of the two atomic writers: cache entries
@@ -641,23 +617,22 @@ def _cache_store(path: str, key: str, result, label: Optional[str] = None) -> bo
 
 
 def _cache_dirs(directory: str) -> List[str]:
-    """The flat root plus every shard subdirectory — the complete set of
-    places maintenance must look (flat entries predate sharding)."""
-    dirs = [directory]
+    """Every shard subdirectory — the complete set of places cache
+    entries, checkpoints and their tmp files are written."""
     try:
         names = os.listdir(directory)
     except OSError:
-        return dirs
-    for name in sorted(names):
-        sub = os.path.join(directory, name)
-        if _SHARD_DIR_RE.match(name) and os.path.isdir(sub):
-            dirs.append(sub)
-    return dirs
+        return []
+    return [
+        os.path.join(directory, name)
+        for name in sorted(names)
+        if _SHARD_DIR_RE.match(name) and os.path.isdir(os.path.join(directory, name))
+    ]
 
 
 def reap_stale_tmp(cache_dir: Optional[str] = None, max_age_s: float = STALE_TMP_AGE_S) -> int:
     """Remove ``*.pkl.tmp.<pid>`` / ``*.ckpt.tmp.<pid>`` files leaked by
-    crashed sweeps, in the flat root and in every shard directory.
+    crashed sweeps, in every shard directory.
 
     A live sweep's tmp file exists only for the instant between write
     and rename, so anything older than ``max_age_s`` is garbage.
@@ -665,12 +640,9 @@ def reap_stale_tmp(cache_dir: Optional[str] = None, max_age_s: float = STALE_TMP
     result lands, and kept on failure as resume/debug material.)
     Returns the number of files removed.
     """
-    directory = resolve_cache_dir(cache_dir)
     removed = 0
-    if not os.path.isdir(directory):
-        return 0
     now = time.time()
-    for subdir in _cache_dirs(directory):
+    for subdir in _cache_dirs(resolve_cache_dir(cache_dir)):
         try:
             names = os.listdir(subdir)
         except OSError:
@@ -689,15 +661,12 @@ def reap_stale_tmp(cache_dir: Optional[str] = None, max_age_s: float = STALE_TMP
 
 
 def clear_cache(cache_dir: Optional[str] = None) -> int:
-    """Delete every cache entry — sharded and legacy flat alike —
-    including simulation checkpoints and leaked ``*.tmp.<pid>`` files
-    from crashed sweeps; returns the number of files removed (emptied
-    shard directories are pruned but not counted)."""
-    directory = resolve_cache_dir(cache_dir)
+    """Delete every cache entry in every shard directory, including
+    simulation checkpoints and leaked ``*.tmp.<pid>`` files from crashed
+    sweeps; returns the number of files removed (emptied shard
+    directories are pruned but not counted)."""
     removed = 0
-    if not os.path.isdir(directory):
-        return 0
-    for subdir in _cache_dirs(directory):
+    for subdir in _cache_dirs(resolve_cache_dir(cache_dir)):
         try:
             names = os.listdir(subdir)
         except OSError:
@@ -714,11 +683,10 @@ def clear_cache(cache_dir: Optional[str] = None) -> int:
                     removed += 1
                 except OSError:
                     pass
-        if subdir != directory:
-            try:
-                os.rmdir(subdir)  # only succeeds when emptied
-            except OSError:
-                pass
+        try:
+            os.rmdir(subdir)  # only succeeds when emptied
+        except OSError:
+            pass
     return removed
 
 

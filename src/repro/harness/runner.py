@@ -7,8 +7,7 @@ broken mechanism.
 
 Which variants exist, how their frontends are built and which inputs
 they need is declared once in :data:`repro.variants.REGISTRY`; the
-runner just resolves names against it.  ``CONFIG_NAMES`` remains as a
-live view of the registry for backward compatibility.
+runner just resolves names against it.
 """
 
 from __future__ import annotations
@@ -29,13 +28,6 @@ from repro.timing.checkpoint import CheckpointError, read_checkpoint, write_chec
 from repro.timing.gpu import GPU
 from repro.variants import REGISTRY, Variant, VariantRegistry
 from repro.workloads import Workload, build_workload
-
-
-def __getattr__(name: str):
-    # Live view: late-registered variants show up without re-importing.
-    if name == "CONFIG_NAMES":
-        return REGISTRY.names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class VerificationError(AssertionError):

@@ -1,7 +1,7 @@
 """Serving-side view of the content-addressed result store.
 
 The sweep layer owns the store itself (sharded directories, atomic
-writes, flat-layout migration — :mod:`repro.harness.parallel`); this
+writes — :mod:`repro.harness.parallel`); this
 module adds what a request-serving hot path needs on top:
 
 - one :func:`~repro.harness.parallel.cache_lookup` probe per miss,

@@ -167,11 +167,9 @@ class SMCore:
         self.tbs: List[TBRuntime] = []
         self.warps: List[WarpRuntime] = []
         self.cycle = 0
-        #: optional per-cycle event recorder (repro.timing.pipeline_trace)
+        #: optional per-cycle warp-event and stage-row recorder
+        #: (repro.timing.pipeline_trace.PipelineTrace)
         self.pipeline_trace = None
-        #: optional per-cycle stage activity/occupancy recorder
-        #: (repro.timing.pipeline_trace.StageOccupancyTrace)
-        self.stage_trace = None
         self._tb_seq = 0
         self._warp_age = 0
         self.completed_tbs: List[TBRuntime] = []

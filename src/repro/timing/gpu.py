@@ -22,6 +22,18 @@ from repro.timing.frontend import Frontend, NullFrontend
 from repro.timing.stats import SimStats
 
 
+def _warp_flags(w) -> str:
+    """A warp's blocking state for deadlock diagnostics: ``S`` skip-
+    blocked, ``B`` branch-sync blocked, ``C`` fetch stalled on control
+    flow, ``Y`` waiting at a barrier."""
+    return (
+        ("S" if w.skip_blocked else "")
+        + ("B" if w.branch_sync_blocked else "")
+        + ("C" if w.cf_stalled else "")
+        + ("Y" if w.warp.at_barrier else "")
+    )
+
+
 class DeadlockError(RuntimeError):
     """The simulation made no forward progress within the watchdog window.
 
@@ -133,16 +145,10 @@ class GPU:
         self._idle_ticks = 0
 
     def attach_trace(self, trace) -> None:
-        """Record per-cycle pipeline events into ``trace``
+        """Record per-cycle warp events and stage rows into ``trace``
         (:class:`repro.timing.pipeline_trace.PipelineTrace`)."""
         for sm in self.sms:
             sm.pipeline_trace = trace
-
-    def attach_stage_trace(self, trace) -> None:
-        """Record per-cycle stage activity/occupancy into ``trace``
-        (:class:`repro.timing.pipeline_trace.StageOccupancyTrace`)."""
-        for sm in self.sms:
-            sm.stage_trace = trace
 
     def _dispatch(self) -> None:
         warps_needed = self.ctx.launch.warps_per_block
@@ -201,12 +207,10 @@ class GPU:
         # changes, the next tick would repeat it exactly — jump straight
         # to the earliest known-future event (writeback heap head /
         # timed frontend release) and replay the per-idle-cycle
-        # accounting in closed form.  Disabled under a pipeline trace,
-        # which records blocked warps every cycle.
-        skip_enabled = self.config.event_skip and all(
-            sm.pipeline_trace is None and sm.stage_trace is None
-            for sm in self.sms
-        )
+        # accounting in closed form.  An attached trace gets the skipped
+        # cycles replayed into it (see _replay_idle).
+        skip_enabled = self.config.event_skip
+        traced = any(sm.pipeline_trace is not None for sm in self.sms)
         watchdog_window = self.config.watchdog_cycles
         last_checkpoint = self.cycle
         while self._pending or any(sm.busy for sm in self.sms):
@@ -235,11 +239,7 @@ class GPU:
                     f"no instruction executed for {watchdog_window} cycles "
                     f"at cycle {self.cycle}; blocked warps: "
                     + ", ".join(
-                        f"sm{sm.sm_id}/w{w.age}@{w.fetch_pc:#x}"
-                        f"{'S' if w.skip_blocked else ''}"
-                        f"{'B' if w.branch_sync_blocked else ''}"
-                        f"{'C' if w.cf_stalled else ''}"
-                        f"{'Y' if w.warp.at_barrier else ''}"
+                        f"sm{sm.sm_id}/w{w.age}@{w.fetch_pc:#x}{_warp_flags(w)}"
                         for sm in self.sms
                         for w in sm.warps
                         if not w.exited
@@ -280,6 +280,8 @@ class GPU:
                     )
                     if target > self.cycle:
                         delta = target - self.cycle
+                        if traced:
+                            self._replay_idle(target)
                         for sm in self.sms:
                             if sm.busy:
                                 sm.advance_idle(delta)
@@ -296,6 +298,15 @@ class GPU:
                 checkpoint_cb(self)
                 last_checkpoint = self.cycle
         return self._finalize()
+
+    def _replay_idle(self, stop: int) -> None:
+        """Record the skipped idle cycles ``[self.cycle, stop)`` into the
+        attached trace, cycle by cycle and SM by SM — the order in which
+        a stepped run would have ticked them."""
+        busy = [sm for sm in self.sms if sm.busy and sm.pipeline_trace is not None]
+        for cycle in range(self.cycle, stop):
+            for sm in busy:
+                sm.pipeline.record_idle(cycle)
 
     def _finalize(self) -> SimulationResult:
         merged = SimStats()
@@ -325,10 +336,7 @@ class GPU:
         are observation hooks, not simulator state, and may hold
         unpicklable sinks — snapshotting under one is a usage error.
         """
-        if any(
-            sm.pipeline_trace is not None or sm.stage_trace is not None
-            for sm in self.sms
-        ):
+        if any(sm.pipeline_trace is not None for sm in self.sms):
             raise ValueError("cannot snapshot a GPU with a trace attached")
         return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -359,12 +367,7 @@ class GPU:
                         "scheduler": w.scheduler_id,
                         "pc": w.warp.pc,
                         "fetch_pc": w.fetch_pc,
-                        "flags": (
-                            ("S" if w.skip_blocked else "")
-                            + ("B" if w.branch_sync_blocked else "")
-                            + ("C" if w.cf_stalled else "")
-                            + ("Y" if w.warp.at_barrier else "")
-                        ),
+                        "flags": _warp_flags(w),
                         "ibuffer": w.ibuffer.buffered,
                         "ibuffer_zero_cost": w.ibuffer.zero_cost,
                         "inflight": w.inflight,

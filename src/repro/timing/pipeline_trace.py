@@ -1,9 +1,14 @@
 """Per-cycle pipeline tracing and text visualisation.
 
-Attach a :class:`PipelineTrace` to a simulation to record when each warp
-fetches, issues, writes back — and, under DARSIE, *skips* — and render a
-Gantt-style text diagram.  Intended for small kernels: it makes Figure
-5's leader/follower choreography directly visible.
+Attach a :class:`PipelineTrace` to a simulation to record two views of
+every busy SM-cycle:
+
+- *warp events* — when each warp fetches, issues, writes back and, under
+  DARSIE, *skips* — rendered as a Gantt-style text diagram.  Intended
+  for small kernels: it makes Figure 5's leader/follower choreography
+  directly visible.
+- *stage rows* — how many state changes each pipeline stage produced
+  and how full the typed inter-stage buffers are, dumped as JSONL.
 
 ::
 
@@ -12,9 +17,15 @@ Gantt-style text diagram.  Intended for small kernels: it makes Figure
     gpu.attach_trace(trace)
     gpu.run()
     print(trace.render(max_cycles=120))
+    trace.write_jsonl("stages.jsonl")
 
 Legend: ``F`` fetch, ``I`` issue/execute, ``W`` writeback, ``S`` skip
 (PC advanced without fetch), ``B`` blocked on DARSIE synchronization.
+
+Event-driven cycle skipping stays on under a trace: when the GPU jumps
+an idle span it replays the span into the recorder (one ``B`` event per
+blocked live warp and one all-zero stage row per skipped busy
+SM-cycle), so a traced run records exactly what a stepped run would.
 """
 
 from __future__ import annotations
@@ -45,12 +56,20 @@ class TraceEvent:
 
 
 class PipelineTrace:
-    """Event recorder + text renderer."""
+    """Warp-event and stage-row recorder, with text and JSONL views."""
 
-    def __init__(self, max_events: int = 200_000):
+    def __init__(self, max_events: int = 200_000, max_samples: int = 1_000_000):
         self.events: List[TraceEvent] = []
         self.max_events = max_events
         self.dropped = 0
+        #: one row per busy SM-cycle, e.g. ``{"cycle": 7, "sm": 0,
+        #: "stages": {"writeback": 0, "decode-skip": 0, "issue": 3,
+        #: "fetch": 2}, "ibuffer": 4, "zero_cost": 0, "inflight": 2}``
+        self.samples: List[Dict] = []
+        self.max_samples = max_samples
+        self.dropped_samples = 0
+
+    # -- warp events ---------------------------------------------------------
 
     def record(self, cycle: int, sm: int, tb: int, warp: int, kind: str, pc: int) -> None:
         if len(self.events) >= self.max_events:
@@ -112,27 +131,7 @@ class PipelineTrace:
             rows.append(f"  sm{sm}/tb{tb}/w{warp}: fetched={fetched} skipped={skipped}")
         return "warp activity:\n" + "\n".join(rows)
 
-
-class StageOccupancyTrace:
-    """Per-cycle, per-stage activity and buffer occupancy recorder.
-
-    While a :class:`PipelineTrace` records *warp-level events* (fetch,
-    issue, skip...), this trace records the *stage-level* view the
-    staged pipeline exposes: how many state changes each stage produced
-    this cycle, and how full the typed inter-stage buffers are.  One
-    sample per busy SM per simulated cycle (attaching the trace disables
-    event-driven cycle skipping, so no cycles are jumped over).
-
-    Dump with :meth:`write_jsonl` — one JSON object per line::
-
-        {"cycle": 7, "sm": 0, "stages": {"writeback": 0, "decode-skip": 0,
-         "issue": 3, "fetch": 2}, "ibuffer": 4, "zero_cost": 0, "inflight": 2}
-    """
-
-    def __init__(self, max_samples: int = 1_000_000):
-        self.samples: List[Dict] = []
-        self.max_samples = max_samples
-        self.dropped = 0
+    # -- stage rows ----------------------------------------------------------
 
     def sample(
         self,
@@ -142,7 +141,7 @@ class StageOccupancyTrace:
         occupancy: Dict[str, int],
     ) -> None:
         if len(self.samples) >= self.max_samples:
-            self.dropped += 1
+            self.dropped_samples += 1
             return
         row = {"cycle": cycle, "sm": sm, "stages": stage_activity}
         row.update(occupancy)

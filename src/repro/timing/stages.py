@@ -555,7 +555,7 @@ class StagePipeline:
         means the cycle was provably idle and the next would repeat it
         exactly — the basis for event-driven skipping)."""
         self._activity = 0
-        trace = self.core.stage_trace
+        trace = self.core.pipeline_trace
         if trace is None:
             self.writeback.tick(cycle)
             self.decode_skip.tick(cycle)
@@ -601,22 +601,39 @@ class StagePipeline:
         self.issue.remove_tb(tb_rt)
 
     def _account_waits(self, cycle: int) -> None:
+        """One ``sync_wait_cycles`` (and, when traced, one ``B`` event)
+        per blocked live warp."""
         core = self.core
-        if core.pipeline_trace is None:
-            blocked = 0
-            for w in core.warps:
-                if (w.skip_blocked or w.branch_sync_blocked) and not w.warp.exited:
-                    blocked += 1
-            if blocked:
-                core.stats.sync_wait_cycles += blocked
-            return
+        trace = core.pipeline_trace
+        blocked = 0
         for w in core.warps:
-            if not w.exited and (w.skip_blocked or w.branch_sync_blocked):
-                core.stats.sync_wait_cycles += 1
-                core.pipeline_trace.record(
+            if (w.skip_blocked or w.branch_sync_blocked) and not w.warp.exited:
+                blocked += 1
+                if trace is not None:
+                    trace.record(
+                        cycle, core.sm_id, w.tb_rt.tb.tb_index,
+                        w.warp.warp_id, "B", w.fetch_pc,
+                    )
+        if blocked:
+            core.stats.sync_wait_cycles += blocked
+
+    def record_idle(self, cycle: int) -> None:
+        """Record one skipped idle ``cycle`` into the attached trace as a
+        stepped tick would have: a ``B`` event per blocked live warp and
+        an all-zero stage row with the unchanged occupancy.  (The stats
+        of the span are accrued in closed form by :meth:`advance_idle`.)"""
+        core = self.core
+        trace = core.pipeline_trace
+        for w in core.warps:
+            if (w.skip_blocked or w.branch_sync_blocked) and not w.warp.exited:
+                trace.record(
                     cycle, core.sm_id, w.tb_rt.tb.tb_index,
                     w.warp.warp_id, "B", w.fetch_pc,
                 )
+        trace.sample(
+            cycle, core.sm_id, {stage.name: 0 for stage in self.stages},
+            self.occupancy(),
+        )
 
     def occupancy(self) -> Dict[str, int]:
         """Instantaneous buffer occupancy (debug/trace aid)."""

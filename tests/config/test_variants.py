@@ -1,4 +1,4 @@
-"""The variant registry: legacy views, tag queries, one-call extension."""
+"""The variant registry: tag queries and one-call extension."""
 
 import pytest
 
@@ -32,40 +32,25 @@ class TestRegistryBasics:
         assert [v.name for v in REGISTRY] == list(REGISTRY.names())
 
 
-class TestLegacyViewsAreTagQueries:
-    """The historical name tuples are live registry queries, not copies."""
+class TestTagQueries:
+    """Each experiment's variant list is a registry tag query, in the
+    paper's legend order (registration order)."""
 
     def test_fig8_configs(self):
-        from repro.harness import experiments
-
-        assert experiments.FIG8_CONFIGS == (
+        assert REGISTRY.by_tag("fig8") == (
             "BASE", "UV", "DAC-IDEAL", "DARSIE", "DARSIE-IGNORE-STORE"
         )
-        assert experiments.FIG8_CONFIGS == REGISTRY.by_tag("fig8")
 
     def test_reduction_configs(self):
-        from repro.harness import experiments
-
-        assert experiments.REDUCTION_CONFIGS == ("UV", "DAC-IDEAL", "DARSIE")
+        assert REGISTRY.by_tag("reduction") == ("UV", "DAC-IDEAL", "DARSIE")
 
     def test_fig12_configs(self):
-        from repro.harness import experiments
-
-        assert experiments.FIG12_CONFIGS == (
+        assert REGISTRY.by_tag("fig12") == (
             "DARSIE", "DARSIE-NO-CF-SYNC", "SILICON-SYNC"
         )
 
-    def test_config_names_everywhere(self):
-        import repro.harness
-        import repro.harness.runner
-
-        assert repro.harness.CONFIG_NAMES == REGISTRY.names()
-        assert repro.harness.runner.CONFIG_NAMES == REGISTRY.names()
-
     def test_bench_configs(self):
-        from repro.harness import bench
-
-        assert bench.BENCH_CONFIGS == (
+        assert REGISTRY.by_tag("bench") == (
             "BASE", "UV", "DAC-IDEAL", "DARSIE", "DARSIE-IGNORE-STORE"
         )
 
@@ -117,9 +102,7 @@ class TestDualIssueReachable:
         assert ["DUAL-ISSUE"] == report.variants()
 
     def test_live_views_see_dual_issue(self):
-        import repro.harness
-
-        assert "DUAL-ISSUE" in repro.harness.CONFIG_NAMES
+        assert "DUAL-ISSUE" in REGISTRY.names()
         assert "DUAL-ISSUE" in REGISTRY.by_tag("ablation")
 
 
@@ -166,7 +149,5 @@ class TestOneRegistrationExtension:
         assert self.NAME in out and "cycles" in out
 
     def test_live_views_see_new_variant(self, ports16):
-        import repro.harness
-
-        assert self.NAME in repro.harness.CONFIG_NAMES
+        assert self.NAME in REGISTRY.names()
         assert REGISTRY.by_tag("test") == (self.NAME,)

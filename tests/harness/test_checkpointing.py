@@ -131,7 +131,8 @@ class TestDeadlockArtifact:
         policy = ExecPolicy(max_cycles=50)
         run_specs([SPEC], jobs=1, use_cache=True, cache_dir=str(tmp_path),
                   policy=policy)
-        leak = tmp_path / "stale.ckpt"
+        leak = tmp_path / "ab" / "stale.ckpt"
+        leak.parent.mkdir(exist_ok=True)
         leak.write_bytes(b"x")
         removed = parallel.clear_cache(str(tmp_path))
         assert removed >= 2  # the .deadlock.json + the stale .ckpt
@@ -198,19 +199,21 @@ class TestJournalHardening:
 class TestTmpReaping:
     def test_stale_ckpt_tmp_is_reaped(self, tmp_path):
         directory = str(tmp_path)
-        os.makedirs(directory, exist_ok=True)
-        stale = os.path.join(directory, "run.ckpt.tmp.4242")
+        shard = os.path.join(directory, "ab")
+        os.makedirs(shard)
+        stale = os.path.join(shard, "run.ckpt.tmp.4242")
         open(stale, "wb").close()
         old = time.time() - 2 * parallel.STALE_TMP_AGE_S
         os.utime(stale, (old, old))
-        fresh = os.path.join(directory, "run.ckpt.tmp.4243")
+        fresh = os.path.join(shard, "run.ckpt.tmp.4243")
         open(fresh, "wb").close()
         assert parallel.reap_stale_tmp(directory) == 1
         assert not os.path.exists(stale) and os.path.exists(fresh)
 
     def test_sweep_counts_reaped_tmp_files(self, tmp_path):
         directory = str(tmp_path)
-        stale = os.path.join(directory, "dead.ckpt.tmp.999")
+        os.makedirs(os.path.join(directory, "ab"))
+        stale = os.path.join(directory, "ab", "dead.ckpt.tmp.999")
         open(stale, "wb").close()
         old = time.time() - 2 * parallel.STALE_TMP_AGE_S
         os.utime(stale, (old, old))

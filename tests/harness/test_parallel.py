@@ -107,9 +107,10 @@ class TestCache:
         import os
 
         run_one(SPEC, cache_dir=cache_dir, use_cache=True)
-        leak = os.path.join(cache_dir, "LIB-BASE-tiny-0000.pkl.tmp.12345")
+        shard = os.path.dirname(cache_path(SPEC, cache_key(SPEC), cache_dir))
+        leak = os.path.join(shard, "LIB-BASE-tiny-0000.pkl.tmp.12345")
         open(leak, "wb").close()
-        unrelated = os.path.join(cache_dir, "README.txt")
+        unrelated = os.path.join(shard, "README.txt")
         open(unrelated, "w").close()
         assert parallel.clear_cache(cache_dir) == 2  # entry + tmp leak
         assert not os.path.exists(leak)
@@ -119,9 +120,10 @@ class TestCache:
         import os
         import time
 
-        os.makedirs(cache_dir)
-        fresh = os.path.join(cache_dir, "a.pkl.tmp.111")
-        stale = os.path.join(cache_dir, "b.pkl.tmp.222")
+        shard = os.path.join(cache_dir, "ab")
+        os.makedirs(shard)
+        fresh = os.path.join(shard, "a.pkl.tmp.111")
+        stale = os.path.join(shard, "b.pkl.tmp.222")
         for p in (fresh, stale):
             open(p, "wb").close()
         old = time.time() - 2 * parallel.STALE_TMP_AGE_S

@@ -1,4 +1,4 @@
-"""Sharded store layout, flat-entry migration, and the serving LRU."""
+"""Sharded store layout and the serving LRU."""
 
 import json
 import os
@@ -12,7 +12,6 @@ from repro.harness.parallel import (
     cache_key,
     cache_lookup,
     cache_path,
-    legacy_cache_path,
 )
 from repro.harness.runner import RunResult
 from repro.serve.store import ResultStore, encode_result
@@ -39,10 +38,9 @@ def make_result(spec=SPEC, cycles=123) -> RunResult:
                      sim=sim, energy_pj=42.0)
 
 
-def store_entry(spec, cache_dir, path=None, cycles=123) -> str:
+def store_entry(spec, cache_dir) -> str:
     key = cache_key(spec)
-    path = path or cache_path(spec, key, cache_dir)
-    assert parallel._cache_store(path, key, make_result(spec, cycles))
+    assert parallel._cache_store(cache_path(spec, key, cache_dir), key, make_result(spec))
     return key
 
 
@@ -52,9 +50,6 @@ class TestShardedLayout:
         path = cache_path(SPEC, key, cache_dir)
         shard = os.path.basename(os.path.dirname(path))
         assert shard == key[: parallel.CACHE_SHARD_CHARS]
-        # the flat path is the same file name, one level up
-        assert os.path.basename(legacy_cache_path(SPEC, key, cache_dir)) == \
-            os.path.basename(path)
 
     def test_lookup_hits_sharded_entry(self, cache_dir):
         key = store_entry(SPEC, cache_dir)
@@ -62,52 +57,16 @@ class TestShardedLayout:
         assert status == "hit"
         assert result.cycles == 123
 
-    def test_flat_entry_still_found_and_promoted(self, cache_dir):
-        """Migration path: entries written by pre-shard code keep
-        serving hits and converge to the sharded location on touch."""
-        key = cache_key(SPEC)
-        flat = legacy_cache_path(SPEC, key, cache_dir)
-        store_entry(SPEC, cache_dir, path=flat, cycles=77)
-
-        result, status = cache_lookup(SPEC, key, cache_dir)
-        assert status == "hit"
-        assert result.cycles == 77
-        # promoted: sharded entry exists, flat entry gone
-        assert os.path.exists(cache_path(SPEC, key, cache_dir))
-        assert not os.path.exists(flat)
-        # and the promoted entry itself now serves the hit
-        result, status = cache_lookup(SPEC, key, cache_dir)
-        assert status == "hit" and result.cycles == 77
-
-    def test_flat_hit_feeds_run_specs(self, cache_dir, monkeypatch):
-        """run_specs served from a legacy flat entry counts a cache hit."""
-        key = cache_key(SPEC)
-        store_entry(SPEC, cache_dir, path=legacy_cache_path(SPEC, key, cache_dir))
-        outcomes, stats = parallel.run_specs([SPEC], cache_dir=cache_dir,
-                                             use_cache=True)
-        assert outcomes[0].cache_hit
-        assert stats.cache_hits == 1 and stats.simulated == 0
-
-    def test_corrupt_flat_entry_reported(self, cache_dir):
-        key = cache_key(SPEC)
-        flat = legacy_cache_path(SPEC, key, cache_dir)
-        os.makedirs(cache_dir, exist_ok=True)
-        with open(flat, "wb") as fh:
-            fh.write(b"\x00not a pickle")
-        result, status = cache_lookup(SPEC, key, cache_dir)
-        assert result is None and status == "corrupt"
-
     def test_missing_everywhere_is_a_miss(self, cache_dir):
         result, status = cache_lookup(SPEC, cache_key(SPEC), cache_dir)
         assert result is None and status == "miss"
 
 
 class TestShardedMaintenance:
-    def test_clear_cache_traverses_shards_and_flat(self, cache_dir):
-        key = store_entry(SPEC, cache_dir)  # sharded entry
+    def test_clear_cache_traverses_shards(self, cache_dir):
+        key = store_entry(SPEC, cache_dir)
         other = RunSpec(abbr="FWS", config_name="BASE", scale="tiny")
-        flat = legacy_cache_path(other, cache_key(other), cache_dir)
-        store_entry(other, cache_dir, path=flat)  # legacy flat entry
+        store_entry(other, cache_dir)
         leak = os.path.join(cache_dir, key[:2], "x.pkl.tmp.999")
         with open(leak, "wb") as fh:
             fh.write(b"partial")
@@ -121,17 +80,14 @@ class TestShardedMaintenance:
         os.makedirs(shard, exist_ok=True)
         stale = os.path.join(shard, "a.pkl.tmp.111")
         fresh = os.path.join(shard, "b.pkl.tmp.222")
-        flat_stale = os.path.join(cache_dir, "c.pkl.tmp.333")
-        for path in (stale, fresh, flat_stale):
+        for path in (stale, fresh):
             with open(path, "wb") as fh:
                 fh.write(b"partial")
         old = os.path.getmtime(stale) - 7200
         os.utime(stale, (old, old))
-        os.utime(flat_stale, (old, old))
 
-        assert parallel.reap_stale_tmp(cache_dir) == 2
+        assert parallel.reap_stale_tmp(cache_dir) == 1
         assert not os.path.exists(stale)
-        assert not os.path.exists(flat_stale)
         assert os.path.exists(fresh)
 
     def test_clear_cache_counts_nothing_when_empty(self, cache_dir):

@@ -1,6 +1,11 @@
-"""Unit tests for the pipeline trace viewer."""
+"""Unit tests for the pipeline trace viewer, and the contract that a
+traced run is the run that ships: event-skip stays on under a trace."""
+
+import dataclasses
+import functools
 
 import numpy as np
+import pytest
 
 from repro import (
     DarsieFrontend,
@@ -11,8 +16,10 @@ from repro import (
     assemble,
     small_config,
 )
+from repro.harness.runner import WorkloadRunner
 from repro.timing import PipelineTrace
 from repro.timing.gpu import GPU
+from repro.workloads import ALL_ABBRS, build_workload
 
 SRC = """
 .param tab
@@ -80,3 +87,50 @@ class TestTrace:
 
     def test_empty_trace(self):
         assert "empty" in PipelineTrace().render()
+
+
+# -- event-skip replay equivalence -------------------------------------------
+
+#: (abbr, variant, num_sms): every Table-1 app under four variants on one
+#: SM, plus two-SM cases where the replay must interleave SMs per cycle
+EQUIVALENCE_CASES = [
+    (abbr, variant, 1)
+    for abbr in ALL_ABBRS
+    for variant in ("BASE", "DARSIE", "DARSIE-NO-CF-SYNC", "DUAL-ISSUE")
+] + [
+    (abbr, variant, 2)
+    for abbr in ("LIB", "MM", "CONVTEX", "HS")
+    for variant in ("BASE", "DARSIE")
+]
+
+
+@functools.lru_cache(maxsize=1)  # cases are grouped by (abbr, num_sms)
+def _runner(abbr, num_sms):
+    return WorkloadRunner(build_workload(abbr, "tiny"), small_config(num_sms=num_sms))
+
+
+def _run(abbr, variant, num_sms, event_skip, traced):
+    runner = _runner(abbr, num_sms)
+    mem, params = runner.workload.fresh()
+    gpu = GPU(runner.simulation_program(variant), runner.workload.launch, mem,
+              params=params,
+              config=dataclasses.replace(runner.gpu_config, event_skip=event_skip),
+              frontend_factory=runner.frontend_factory(variant))
+    trace = None
+    if traced:
+        trace = PipelineTrace()
+        gpu.attach_trace(trace)
+    return gpu.run(), trace
+
+
+class TestEventSkipReplay:
+    @pytest.mark.parametrize("abbr,variant,num_sms", EQUIVALENCE_CASES)
+    def test_traced_skip_run_matches_stepped_trace(self, abbr, variant, num_sms):
+        plain, _ = _run(abbr, variant, num_sms, event_skip=True, traced=False)
+        skipped, trace = _run(abbr, variant, num_sms, event_skip=True, traced=True)
+        stepped, reference = _run(abbr, variant, num_sms, event_skip=False, traced=True)
+        assert skipped.to_dict() == plain.to_dict() == stepped.to_dict()
+        assert trace.dropped == reference.dropped == 0
+        assert trace.dropped_samples == reference.dropped_samples == 0
+        assert trace.events == reference.events
+        assert trace.samples == reference.samples

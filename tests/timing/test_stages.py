@@ -15,7 +15,7 @@ from repro import (
     small_config,
 )
 from repro.isa.instructions import INSTRUCTION_BYTES
-from repro.timing import StageOccupancyTrace
+from repro.timing import PipelineTrace
 from repro.timing.buffers import IBufferEntry
 from repro.timing.gpu import GPU
 from repro.timing.stages import DualIssueStage, IssueStage
@@ -240,13 +240,18 @@ class TestStagePipelineAssembly:
         assert len(set(names)) == len(names) == 4
 
 
-class TestStageOccupancyTrace:
+class TestPipelineTraceStageRows:
+    """Stage rows of the pipeline trace, recorded with event-skip on:
+    skipped idle spans are replayed into the trace, not stepped."""
+
     def _run_traced(self):
         prog = assemble(ALU_SRC)
         launch = LaunchConfig(grid_dim=Dim3(1), block_dim=Dim3(32))
-        gpu = GPU(prog, launch, GlobalMemory(1 << 12), config=small_config(1))
-        trace = StageOccupancyTrace()
-        gpu.attach_stage_trace(trace)
+        config = small_config(1)
+        assert config.event_skip
+        gpu = GPU(prog, launch, GlobalMemory(1 << 12), config=config)
+        trace = PipelineTrace()
+        gpu.attach_trace(trace)
         res = gpu.run()
         return res, trace
 
@@ -254,7 +259,34 @@ class TestStageOccupancyTrace:
         res, trace = self._run_traced()
         assert len(trace.samples) == res.cycles
         cycles = [row["cycle"] for row in trace.samples]
-        assert cycles == sorted(cycles)
+        assert cycles == list(range(res.cycles))
+
+    def test_darsie_skip_run_is_fully_recorded(self, monkeypatch):
+        """A DARSIE run that jumps idle spans still yields one row per
+        busy SM-cycle and one ``B`` event per sync-wait cycle."""
+        from repro.harness.runner import WorkloadRunner
+        from repro.workloads import build_workload
+
+        replayed = []
+        replay = GPU._replay_idle
+
+        def spy(gpu, stop):
+            replayed.append(stop - gpu.cycle)
+            replay(gpu, stop)
+
+        monkeypatch.setattr(GPU, "_replay_idle", spy)
+        runner = WorkloadRunner(build_workload("LIB", "tiny"))
+        assert runner.gpu_config.event_skip and runner.gpu_config.num_sms == 1
+        mem, params = runner.workload.fresh()
+        gpu = GPU(runner.workload.program, runner.workload.launch, mem,
+                  params=params, config=runner.gpu_config,
+                  frontend_factory=runner.frontend_factory("DARSIE"))
+        trace = PipelineTrace()
+        gpu.attach_trace(trace)
+        res = gpu.run()
+        assert sum(replayed) > 0  # the traced run really skipped cycles
+        assert len(trace.samples) == res.cycles
+        assert trace.counts()["B"] == res.stats.sync_wait_cycles > 0
 
     def test_samples_carry_stage_activity_and_occupancy(self):
         _, trace = self._run_traced()

@@ -21,10 +21,14 @@ Usage::
     python -m repro serve --port 8712 --jobs 4 --queue-limit 64
     python -m repro loadtest --duration 10 --concurrency 32 --check
 
-Experiment names and their accepted arguments are derived from
-:data:`repro.harness.experiments.EXPERIMENT_REGISTRY` — a driver that
-declares ``scale`` / ``abbrs`` / ``gpu_config`` parameters receives
-them; there is no dispatch table to keep in sync here.
+Every command has its own subparser that accepts exactly the flags its
+handler reads; any other flag is a usage error (exit 2).  Flags follow
+the command name.  The experiment drivers come from
+:data:`repro.harness.experiments.EXPERIMENT_REGISTRY` and take their
+flags from their signatures: ``--scale`` for a ``scale`` parameter,
+``--apps`` for ``abbrs``, ``--set`` (gpu.* only) for ``gpu_config``,
+and the sweep-policy flags (:data:`POLICY_FLAGS`) when they declare
+either of the last two, since those are the drivers that sweep.
 """
 
 from __future__ import annotations
@@ -35,195 +39,240 @@ import os
 import sys
 import time
 
-from repro.config import ConfigError, RunConfig, apply_overrides, parse_overrides
+from repro.config import ConfigError, ExecPolicy, RunConfig, apply_overrides, parse_overrides
 from repro.harness import parallel
 from repro.harness.experiments import EXPERIMENT_REGISTRY, ablation_sweep
 from repro.workloads import ALL_ABBRS, EXTENDED_ABBRS
 
-COMMANDS = ["list", "all", "run", "sweep", "lint", "soundness", "meld-verify", "bench",
-            "config-check", "chaos", "serve", "loadtest", "fuzz"]
+#: The sweep-policy group: how :mod:`repro.harness.parallel` runs a
+#: command's sweeps.  Applied once, in :func:`_configure_sweeps`.
+POLICY_FLAGS = ("--jobs", "--no-cache", "--clear-cache", "--timeout",
+                "--max-retries", "--resume", "--checkpoint-interval", "--max-cycles")
+
+#: Driver parameter -> the flag that feeds it.
+_DRIVER_FLAGS = {"scale": "--scale", "abbrs": "--apps", "gpu_config": "--set"}
 
 #: Extra keys commands may stage for the --stats-dump payload (written in
 #: main()'s finally, which would otherwise overwrite a command's dump).
 _EXTRA_DUMP: dict = {}
 
 
-def run_one(name: str, scale: str, abbrs, gpu_config=None, parser=None) -> None:
-    fn = EXPERIMENT_REGISTRY[name]
-    params = inspect.signature(fn).parameters
-    kwargs = {}
-    if "scale" in params:
-        kwargs["scale"] = scale
-    if "abbrs" in params and abbrs:
-        kwargs["abbrs"] = abbrs
-    if gpu_config is not None:
-        if "gpu_config" not in params:
-            message = f"{name} does not take a GPU configuration (gpu.* override)"
-            if parser is not None:
-                parser.error(message)
-            raise ConfigError(message)
-        kwargs["gpu_config"] = gpu_config
-    # perf_counter: monotonic, unlike time.time() under clock adjustment
-    start = time.perf_counter()
-    result = fn(**kwargs)
-    text = result if isinstance(result, str) else result.render()
-    print(text)
-    stats = getattr(result, "sweep_stats", None)
-    if stats is not None:
-        print(f"\n{stats.render()}")
-    print(f"\n[{name} regenerated in {time.perf_counter() - start:.1f}s]")
+def _app_list(text: str):
+    """``--apps`` / ``[APPS]``: comma-separated abbreviations, validated."""
+    if not text:
+        return None
+    abbrs = tuple(a.strip().upper() for a in text.split(","))
+    unknown = set(abbrs) - set(EXTENDED_ABBRS)
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown apps: {sorted(unknown)}; known: {EXTENDED_ABBRS}")
+    return abbrs
 
 
-def main(argv=None) -> int:
+def _override(text: str):
+    """``--set PATH=VALUE`` as a ``(path, value)`` pair."""
+    try:
+        return parse_overrides([text]).popitem()
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _flag_table() -> dict:
+    """``add_argument`` keywords for every flag, by option string."""
+    return {
+        "--scale": dict(choices=["tiny", "small", "medium"],
+                        help="workload problem size (default: %(default)s)"),
+        "--apps": dict(type=_app_list, metavar="ABBRS",
+                       help="comma-separated workload abbreviations, e.g. MM,LIB"),
+        "--set": dict(dest="overrides", type=_override, action="append", default=[],
+                      metavar="PATH=VALUE",
+                      help="dotted-path config override, e.g. gpu.l1_lines=512 "
+                           "(repeatable; only `run` takes non-gpu.* paths)"),
+        "--config": dict(default="DARSIE",
+                         help="BASE / UV / DAC-IDEAL / DARSIE / variants "
+                              "(default: %(default)s)"),
+        "--values": dict(required=True, metavar="V1,V2,...",
+                         help="comma-separated values of the swept field"),
+        "--trace": dict(action="store_true",
+                        help="print a pipeline trace of the first cycles"),
+        "--pipeline-trace": dict(metavar="PATH",
+                                 help="dump per-cycle per-stage occupancy as JSONL to PATH"),
+        "--json": dict(action="store_true", help="dump the result counters as JSON"),
+        "--jobs": dict(type=int, metavar="N",
+                       default=int(os.environ.get("REPRO_JOBS", "1") or 1),
+                       help="fan (workload, config) runs across N worker "
+                            "processes (default: $REPRO_JOBS or 1)"),
+        "--no-cache": dict(action="store_true",
+                           help="ignore and do not write the results/.cache result cache"),
+        "--clear-cache": dict(action="store_true",
+                              help="delete all cached results before running"),
+        "--timeout": dict(type=float, default=0.0, metavar="S",
+                          help="per-spec wall-clock timeout in seconds; needs "
+                               "--jobs > 1 to be enforceable (default: off)"),
+        "--max-retries": dict(type=int, default=0, metavar="N",
+                              help="retry transient/timeout/crash failures up to N "
+                                   "times per run (default: 0)"),
+        "--resume": dict(metavar="PATH",
+                         help="sweep journal: skip specs already completed in a "
+                              "previous (possibly killed) run, append new ones"),
+        "--checkpoint-interval": dict(type=int, default=0, metavar="N",
+                                      help="write a crash-safe simulation checkpoint "
+                                           "every N cycles; killed/timed-out runs resume "
+                                           "from the newest checkpoint on retry "
+                                           "(default: off)"),
+        "--max-cycles": dict(type=int, default=0, metavar="N",
+                             help="abort any simulation that exceeds N cycles with a "
+                                  "DeadlockError and diagnostic dump (default: the "
+                                  "GPU config's built-in limit)"),
+        "--strict": dict(action="store_true", help="treat warnings as failures too"),
+        "--format": dict(dest="output_format", default="text", choices=["text", "json"],
+                         help="report format (default: text)"),
+        "--melded": dict(action="store_true",
+                         help="lint each kernel after the control-flow melding "
+                              "transform as well"),
+        "--repeats": dict(type=int, default=2, metavar="N",
+                          help="timing repeats per entry (default: 2)"),
+        "--out": dict(default="BENCH_timing.json", metavar="PATH",
+                      help="where to write the report (default: %(default)s)"),
+        "--baseline": dict(metavar="PATH", help="baseline report to gate against"),
+        "--tolerance": dict(type=float, metavar="X",
+                            help="fail when more than X times slower than the "
+                                 "baseline (default: 2.0)"),
+        "--seed": dict(type=int, default=0, metavar="N",
+                       help="campaign seed (default: 0)"),
+        "--budget": dict(type=int, default=200, metavar="M",
+                         help="number of random kernels to generate (default: 200)"),
+        "--corpus": dict(metavar="DIR",
+                         help="corpus directory to replay and save shrunk "
+                              "failures into (default: tests/corpus)"),
+        "--no-save": dict(action="store_true",
+                          help="do not write shrunk failures to the corpus directory"),
+        "--workdir": dict(metavar="DIR",
+                          help="persistent working directory for the journal (and "
+                               "the chaos/loadtest cache); CI keeps it for failure "
+                               "artifacts (default: none, or a temp dir)"),
+        "--stats-dump": dict(metavar="PATH",
+                             help="write the final sweep stats as JSON on exit "
+                                  "(CI uploads this when a smoke job fails)"),
+        "--host": dict(default="127.0.0.1", help="bind address (default: %(default)s)"),
+        "--port": dict(type=int, metavar="N",
+                       help="TCP port; 0 picks an ephemeral port (default: 8712)"),
+        "--port-file": dict(metavar="PATH",
+                            help="write the bound port here once listening"),
+        "--queue-limit": dict(type=int, default=64, metavar="N",
+                              help="max distinct configs pending simulation "
+                                   "before 429 (default: %(default)s)"),
+        "--url": dict(metavar="URL",
+                      help="target server (default: spawn an in-process server "
+                           "on an ephemeral port)"),
+        "--duration": dict(type=float, default=10.0, metavar="S",
+                           help="timed-phase length (default: %(default)s)"),
+        "--concurrency": dict(type=int, default=32, metavar="N",
+                              help="concurrent client connections (default: %(default)s)"),
+        "--configs": dict(metavar="C1,C2,...",
+                          help="variant mix (default: BASE,DARSIE)"),
+        "--report": dict(metavar="PATH", help="write the JSON report here"),
+        "--check": dict(action="store_true",
+                        help="fail unless hits were served, nothing 5xx'd and "
+                             "duplicate requests coalesced"),
+        "--min-rps": dict(type=float, default=0.0, metavar="X",
+                          help="with --check, also require at least X req/s "
+                               "(default: off)"),
+    }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI: one subparser per command, each taking only its own flags."""
+    flags = _flag_table()
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate tables/figures from the DARSIE paper (ASPLOS 2020).",
     )
-    parser.add_argument("experiment", choices=list(EXPERIMENT_REGISTRY) + COMMANDS)
-    parser.add_argument("workload", nargs="?", default=None,
-                        help="for `run`: a Table 1 abbreviation, e.g. MM; "
-                             "for `sweep`: a dotted config field, e.g. darsie.skip_ports; "
-                             "for `lint`: comma-separated abbreviations (default: all)")
-    parser.add_argument("--scale", default=None, choices=["tiny", "small", "medium"],
-                        help="workload problem size (default: small; tiny for chaos)")
-    parser.add_argument("--apps", default=None,
-                        help="comma-separated Table 1 abbreviations (default: all)")
-    parser.add_argument("--config", default="DARSIE",
-                        help="for `run`: BASE / UV / DAC-IDEAL / DARSIE / variants")
-    parser.add_argument("--set", dest="overrides", action="append", default=[],
-                        metavar="PATH=VALUE",
-                        help="dotted-path config override, e.g. gpu.l1_lines=512 "
-                             "or darsie.skip_ports=4 (repeatable)")
-    parser.add_argument("--values", default=None, metavar="V1,V2,...",
-                        help="for `sweep`: comma-separated values of the swept field")
-    parser.add_argument("--trace", action="store_true",
-                        help="for `run`: print a pipeline trace of the first cycles")
-    parser.add_argument("--pipeline-trace", default=None, metavar="PATH",
-                        dest="pipeline_trace",
-                        help="for `run`: dump per-cycle per-stage occupancy "
-                             "as JSONL to PATH")
-    parser.add_argument("--json", action="store_true",
-                        help="for `run`: dump the result counters as JSON")
-    parser.add_argument("--jobs", type=int, metavar="N",
-                        default=int(os.environ.get("REPRO_JOBS", "1") or 1),
-                        help="fan (workload, config) runs across N worker "
-                             "processes (default: $REPRO_JOBS or 1)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not write the results/.cache "
-                             "result cache")
-    parser.add_argument("--clear-cache", action="store_true",
-                        help="delete all cached results before running")
-    parser.add_argument("--strict", action="store_true",
-                        help="for `lint`: treat warnings as failures too")
-    parser.add_argument("--format", dest="output_format", default="text",
-                        choices=["text", "json"],
-                        help="for `lint`: report format (default: text)")
-    parser.add_argument("--melded", action="store_true",
-                        help="for `lint`: lint each kernel after the "
-                             "control-flow melding transform as well")
-    parser.add_argument("--repeats", type=int, default=2, metavar="N",
-                        help="for `bench`: timing repeats per entry (default: 2)")
-    parser.add_argument("--out", default="BENCH_timing.json", metavar="PATH",
-                        help="for `bench`: where to write the report "
-                             "(default: BENCH_timing.json)")
-    parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="for `bench`: baseline report to gate against")
-    parser.add_argument("--tolerance", type=float, default=None, metavar="X",
-                        help="for `bench`: fail when more than X times slower "
-                             "than the baseline (default: 2.0)")
-    parser.add_argument("--timeout", type=float, default=0.0, metavar="S",
-                        help="per-spec wall-clock timeout in seconds; needs "
-                             "--jobs > 1 to be enforceable (default: off)")
-    parser.add_argument("--max-retries", type=int, default=0, metavar="N",
-                        help="retry transient/timeout/crash failures up to N "
-                             "times per spec (default: 0)")
-    parser.add_argument("--resume", default=None, metavar="PATH",
-                        help="sweep journal: skip specs already completed in a "
-                             "previous (possibly killed) run, append new ones")
-    parser.add_argument("--checkpoint-interval", type=int, default=0, metavar="N",
-                        help="write a crash-safe simulation checkpoint every N "
-                             "cycles; killed/timed-out runs resume from the "
-                             "newest checkpoint on retry (default: off)")
-    parser.add_argument("--max-cycles", type=int, default=0, metavar="N",
-                        help="abort any simulation that exceeds N cycles with a "
-                             "DeadlockError and diagnostic dump (default: the "
-                             "GPU config's built-in limit)")
-    parser.add_argument("--seed", type=int, default=0, metavar="N",
-                        help="for `chaos`/`fuzz`: campaign seed (default: 0)")
-    parser.add_argument("--budget", type=int, default=200, metavar="M",
-                        help="for `fuzz`: number of random kernels to generate "
-                             "(default: 200)")
-    parser.add_argument("--corpus", default=None, metavar="DIR",
-                        help="for `fuzz`: corpus directory to replay and save "
-                             "shrunk failures into (default: tests/corpus)")
-    parser.add_argument("--no-save", action="store_true",
-                        help="for `fuzz`: do not write shrunk failures to the "
-                             "corpus directory")
-    parser.add_argument("--workdir", default=None, metavar="DIR",
-                        help="for `chaos`/`loadtest`: persistent working "
-                             "directory for the cache + journal (default: a "
-                             "temp dir; CI keeps this for failure artifacts)")
-    parser.add_argument("--stats-dump", default=None, metavar="PATH",
-                        help="write the final sweep stats as JSON on exit "
-                             "(CI uploads this when a smoke job fails)")
-    parser.add_argument("--host", default="127.0.0.1",
-                        help="for `serve`: bind address (default: 127.0.0.1)")
-    parser.add_argument("--port", type=int, default=None, metavar="N",
-                        help="for `serve`: TCP port; 0 picks an ephemeral "
-                             "port (default: 8712)")
-    parser.add_argument("--port-file", default=None, metavar="PATH",
-                        help="for `serve`: write the bound port here once "
-                             "listening (ephemeral-port scripting)")
-    parser.add_argument("--queue-limit", type=int, default=64, metavar="N",
-                        help="for `serve`/`loadtest`: max distinct configs "
-                             "pending simulation before 429 (default: 64)")
-    parser.add_argument("--url", default=None, metavar="URL",
-                        help="for `loadtest`: target server (default: spawn "
-                             "an in-process server on an ephemeral port)")
-    parser.add_argument("--duration", type=float, default=10.0, metavar="S",
-                        help="for `loadtest`: timed-phase length (default: 10)")
-    parser.add_argument("--concurrency", type=int, default=32, metavar="N",
-                        help="for `loadtest`: concurrent client connections "
-                             "(default: 32)")
-    parser.add_argument("--configs", default=None, metavar="C1,C2,...",
-                        help="for `loadtest`: variant mix (default: BASE,DARSIE)")
-    parser.add_argument("--report", default=None, metavar="PATH",
-                        help="for `loadtest`: write the JSON report here")
-    parser.add_argument("--check", action="store_true",
-                        help="for `loadtest`: fail unless hits were served, "
-                             "nothing 5xx'd and duplicate requests coalesced")
-    parser.add_argument("--min-rps", type=float, default=0.0, metavar="X",
-                        help="for `loadtest --check`: also require at least "
-                             "X req/s (default: off)")
-    args = parser.parse_args(argv)
-    if args.scale is None:
-        args.scale = (
-            "tiny" if args.experiment in ("chaos", "loadtest", "meld-verify") else "small"
-        )
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
+    def command(name, func, *names, scale="small", apps_arg=False, summary=None,
+                **defaults):
+        sub = commands.add_parser(name, help=summary)
+        if apps_arg:
+            sub.add_argument("apps_arg", nargs="?", type=_app_list, metavar="APPS",
+                             help="same as --apps")
+        for flag in names + ("--stats-dump",):
+            kwargs = dict(flags[flag], default=scale) if flag == "--scale" else flags[flag]
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(func=func, parser=sub, **defaults)
+        return sub
+
+    for name, fn in EXPERIMENT_REGISTRY.items():
+        params = inspect.signature(fn).parameters
+        names = tuple(flag for param, flag in _DRIVER_FLAGS.items() if param in params)
+        if "abbrs" in params or "gpu_config" in params:
+            names += POLICY_FLAGS
+        command(name, run_drivers, *names, summary="paper experiment driver", drivers=[name])
+    command("all", run_drivers, "--scale", "--apps", *POLICY_FLAGS,
+            summary="run every experiment driver", drivers=list(EXPERIMENT_REGISTRY))
+    command("list", run_list, summary="list experiments and variants")
+    command("config-check", run_config_check, summary="validate committed config blocks")
+
+    run = command("run", run_workload, "--scale", "--config", "--set", "--trace",
+                  "--pipeline-trace", "--json", summary="simulate one workload")
+    run.add_argument("workload", type=str.upper, choices=EXTENDED_ABBRS, metavar="ABBR",
+                     help="a workload abbreviation, e.g. MM")
+    sweep = command("sweep", run_sweep, "--values", "--apps", "--scale", "--set",
+                    *POLICY_FLAGS, summary="sweep one config field")
+    sweep.add_argument("field", help="a dotted config field, e.g. darsie.skip_ports")
+
+    command("lint", run_lint, "--apps", "--scale", "--strict", "--format", "--melded",
+            apps_arg=True, summary="lint the kernels")
+    command("soundness", run_soundness, "--apps", "--scale", apps_arg=True,
+            summary="cross-check static markings dynamically")
+    command("meld-verify", run_meld_verify, "--apps", "--scale", "--workdir",
+            scale="tiny", apps_arg=True, summary="differentially verify melding")
+    command("bench", run_bench_cmd, "--apps", "--scale", "--set", "--repeats", "--out",
+            "--baseline", "--tolerance", "--max-retries", apps_arg=True,
+            summary="time the Figure-8 matrix")
+    command("chaos", run_chaos, "--apps", "--scale", "--seed", "--jobs", "--workdir",
+            scale="tiny", apps_arg=True, summary="seeded fault-injection soak")
+    command("fuzz", run_fuzz, "--seed", "--budget", "--corpus", "--no-save", "--workdir",
+            summary="differential random-kernel fuzzing")
+    command("serve", run_serve, "--host", "--port", "--port-file", "--queue-limit",
+            *POLICY_FLAGS, summary="serve sweeps over HTTP")
+    command("loadtest", run_loadtest_cmd, "--url", "--duration", "--concurrency", "--apps",
+            "--configs", "--report", "--check", "--min-rps", "--scale", "--queue-limit",
+            "--workdir", *POLICY_FLAGS, scale="tiny", apps_arg=True,
+            summary="load-test the sweep service")
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    if "clear_cache" in vars(args):  # the command takes the sweep-policy group
+        _configure_sweeps(args)
     try:
-        overrides = parse_overrides(args.overrides)
-    except ConfigError as exc:
-        parser.error(str(exc))
+        return args.func(args.parser, args)
+    finally:
+        if args.stats_dump:
+            _write_stats_dump(args.stats_dump)
 
+
+def _configure_sweeps(args) -> None:
+    """Apply the sweep-policy flags as the process-wide sweep defaults.
+
+    Negative values come from outside the program and clamp to 0 (off).
+    """
     parallel.configure(
         jobs=args.jobs,
         use_cache=not args.no_cache,
-        timeout_s=args.timeout,
-        max_retries=args.max_retries,
         resume=args.resume,
-        checkpoint_interval_cycles=args.checkpoint_interval,
-        max_cycles=args.max_cycles,
+        policy=ExecPolicy(
+            timeout_s=max(0.0, args.timeout),
+            max_retries=max(0, args.max_retries),
+            checkpoint_interval_cycles=max(0, args.checkpoint_interval),
+            max_cycles=max(0, args.max_cycles),
+        ),
     )
     if args.clear_cache:
         removed = parallel.clear_cache()
         print(f"[cache] removed {removed} cached result(s)")
-
-    try:
-        return _dispatch(parser, args, overrides)
-    finally:
-        if args.stats_dump:
-            _write_stats_dump(args.stats_dump)
 
 
 def _write_stats_dump(path: str) -> None:
@@ -241,71 +290,52 @@ def _write_stats_dump(path: str) -> None:
         print(f"[stats-dump] could not write {path}: {exc}", file=sys.stderr)
 
 
-def _dispatch(parser, args, overrides) -> int:
-    if args.experiment == "run":
-        return run_workload(parser, args, overrides)
+def _gpu_config(parser, args):
+    """The GPU config ``--set`` describes (None without it).
 
-    if args.experiment == "sweep":
-        return run_sweep(parser, args, overrides)
+    Only `run` takes frontend/variant overrides; every other command
+    with ``--set`` drives a whole machine, so only gpu.* paths apply.
+    """
+    overrides = dict(args.overrides)
+    if not overrides:
+        return None
+    non_gpu = sorted(p for p in overrides if not p.startswith("gpu."))
+    if non_gpu:
+        parser.error(f"{args.command} only accepts gpu.* overrides; got {non_gpu} "
+                     "(use `run` for frontend/variant overrides)")
+    try:
+        return apply_overrides(RunConfig(abbr="MM"), overrides).gpu
+    except ConfigError as exc:
+        parser.error(str(exc))
 
-    if args.experiment == "lint":
-        return run_lint(parser, args)
 
-    if args.experiment == "soundness":
-        return run_soundness(parser, args)
+def _resolve_abbrs(args, default=ALL_ABBRS):
+    """Kernel selection: the [APPS] positional, --apps, or ``default``."""
+    return args.apps_arg or args.apps or default
 
-    if args.experiment == "meld-verify":
-        return run_meld_verify(parser, args)
 
-    if args.experiment == "bench":
-        return run_bench_cmd(parser, args, overrides)
-
-    if args.experiment == "config-check":
-        return run_config_check(parser, args)
-
-    if args.experiment == "chaos":
-        return run_chaos(parser, args)
-
-    if args.experiment == "serve":
-        return run_serve(parser, args)
-
-    if args.experiment == "loadtest":
-        return run_loadtest_cmd(parser, args)
-
-    if args.experiment == "fuzz":
-        return run_fuzz(parser, args)
-
-    if args.experiment == "list":
-        return run_list()
-
-    # Experiment drivers take a whole-machine GPU config, not per-run
-    # frontend knobs, so only gpu.* overrides make sense here; `run` and
-    # `sweep` accept the full override surface.
-    gpu_config = None
-    if overrides:
-        non_gpu = sorted(p for p in overrides if not p.startswith("gpu."))
-        if non_gpu:
-            parser.error(
-                f"experiment drivers only accept gpu.* overrides; got {non_gpu} "
-                "(use `run` or `sweep` for frontend/variant overrides)"
-            )
-        gpu_config = apply_overrides(RunConfig(abbr="MM"), overrides).gpu
-
-    abbrs = None
-    if args.apps:
-        abbrs = tuple(a.strip().upper() for a in args.apps.split(","))
-        unknown = set(abbrs) - set(EXTENDED_ABBRS)
-        if unknown:
-            parser.error(f"unknown apps: {sorted(unknown)}; known: {EXTENDED_ABBRS}")
-
-    names = list(EXPERIMENT_REGISTRY) if args.experiment == "all" else [args.experiment]
-    for name in names:
-        run_one(name, args.scale, abbrs, gpu_config=gpu_config, parser=parser)
-        print()
+def run_drivers(parser, args) -> int:
+    """One experiment driver, or every driver for `all`."""
+    given = vars(args)
+    gpu_config = _gpu_config(parser, args) if "overrides" in given else None
+    offered = {"scale": given.get("scale"), "abbrs": given.get("apps"),
+               "gpu_config": gpu_config}
+    for name in args.drivers:
+        fn = EXPERIMENT_REGISTRY[name]
+        params = inspect.signature(fn).parameters
+        kwargs = {k: v for k, v in offered.items() if k in params and v is not None}
+        # perf_counter: monotonic, unlike time.time() under clock adjustment
+        start = time.perf_counter()
+        result = fn(**kwargs)
+        print(result if isinstance(result, str) else result.render())
+        stats = getattr(result, "sweep_stats", None)
+        if stats is not None:
+            print(f"\n{stats.render()}")
+        print(f"\n[{name} regenerated in {time.perf_counter() - start:.1f}s]\n")
     return 0
 
 
-def run_list() -> int:
+def run_list(parser, args) -> int:
     from repro.variants import REGISTRY
 
     print("available experiments:")
@@ -318,19 +348,6 @@ def run_list() -> int:
     return 0
 
 
-def _resolve_abbrs(parser, args, default=ALL_ABBRS):
-    """Kernel selection for `lint`/`soundness`/...: positional, --apps,
-    or the command's default set."""
-    spec = args.workload or args.apps
-    if not spec:
-        return default
-    abbrs = tuple(a.strip().upper() for a in spec.split(","))
-    unknown = set(abbrs) - set(EXTENDED_ABBRS)
-    if unknown:
-        parser.error(f"unknown apps: {sorted(unknown)}; known: {EXTENDED_ABBRS}")
-    return abbrs
-
-
 def run_lint(parser, args) -> int:
     """`python -m repro lint [ABBR,...] [--scale S] [--strict]
     [--format json] [--melded]`."""
@@ -339,7 +356,7 @@ def run_lint(parser, args) -> int:
     from repro.staticlib import lint_program, lint_workload
     from repro.workloads import build_workload
 
-    abbrs = _resolve_abbrs(parser, args, default=EXTENDED_ABBRS)
+    abbrs = _resolve_abbrs(args, default=EXTENDED_ABBRS)
     reports = []   # (abbr, melded?, LintReport)
     for abbr in abbrs:
         workload = build_workload(abbr, args.scale)
@@ -391,7 +408,7 @@ def run_soundness(parser, args) -> int:
     """`python -m repro soundness [--scale S] [--apps ABBR,...]`."""
     from repro.staticlib import audit_all
 
-    abbrs = _resolve_abbrs(parser, args, default=EXTENDED_ABBRS)
+    abbrs = _resolve_abbrs(args, default=EXTENDED_ABBRS)
     report = audit_all(scale=args.scale, abbrs=abbrs)
     print(report.render())
     return 0 if report.ok else 1
@@ -407,15 +424,14 @@ def run_meld_verify(parser, args) -> int:
     linter-clean melded program).  Exits nonzero on any mismatch.
     """
     import json
-    import os as _os
 
     from repro.staticlib.verify import verify_all
 
-    abbrs = _resolve_abbrs(parser, args, default=EXTENDED_ABBRS)
+    abbrs = _resolve_abbrs(args, default=EXTENDED_ABBRS)
     journal = None
     if args.workdir:
-        _os.makedirs(args.workdir, exist_ok=True)
-        journal = open(_os.path.join(args.workdir, "journal.jsonl"), "w")
+        os.makedirs(args.workdir, exist_ok=True)
+        journal = open(os.path.join(args.workdir, "journal.jsonl"), "w")
     start = time.perf_counter()
 
     def progress(check):
@@ -436,21 +452,15 @@ def run_meld_verify(parser, args) -> int:
     return 0 if report.ok else 1
 
 
-def run_bench_cmd(parser, args, overrides) -> int:
+def run_bench_cmd(parser, args) -> int:
     """`python -m repro bench [--scale S] [--apps ...] [--repeats N]
     [--out PATH] [--baseline PATH] [--tolerance X]`."""
     from repro.harness import bench
 
-    gpu_config = None
-    if overrides:
-        non_gpu = sorted(p for p in overrides if not p.startswith("gpu."))
-        if non_gpu:
-            parser.error(f"bench only accepts gpu.* overrides; got {non_gpu}")
-        gpu_config = apply_overrides(RunConfig(abbr="MM"), overrides).gpu
-    abbrs = _resolve_abbrs(parser, args)
+    gpu_config = _gpu_config(parser, args)
     report = bench.run_bench(
         scale=args.scale,
-        abbrs=abbrs,
+        abbrs=_resolve_abbrs(args),
         repeats=args.repeats,
         gpu_config=gpu_config,
         max_retries=args.max_retries,
@@ -476,9 +486,8 @@ def run_chaos(parser, args) -> int:
     """`python -m repro chaos [--seed N] [--scale S] [--apps ...] [--jobs N]`."""
     from repro.harness.chaos import chaos_soak
 
-    abbrs = _resolve_abbrs(parser, args)
-    if args.apps is None and args.workload is None:
-        abbrs = None  # fall back to the chaos module's fast default matrix
+    # Without an app selection, the chaos module's fast default matrix.
+    abbrs = _resolve_abbrs(args, default=None)
     start = time.perf_counter()
     kwargs = {"seed": args.seed, "scale": args.scale,
               "jobs": args.jobs if args.jobs > 1 else 2,
@@ -502,15 +511,14 @@ def run_fuzz(parser, args) -> int:
     reproducer is saved to the corpus directory for triage.
     """
     import json
-    import os as _os
 
     from repro.fuzz import fuzz_campaign, replay_corpus
 
     start = time.perf_counter()
     journal = None
     if args.workdir:
-        _os.makedirs(args.workdir, exist_ok=True)
-        journal = open(_os.path.join(args.workdir, "journal.jsonl"), "w")
+        os.makedirs(args.workdir, exist_ok=True)
+        journal = open(os.path.join(args.workdir, "journal.jsonl"), "w")
 
     def emit(record) -> None:
         if journal is not None:
@@ -574,7 +582,6 @@ def run_loadtest_cmd(parser, args) -> int:
     from repro.serve.loadgen import DEFAULT_APPS, DEFAULT_CONFIGS
     from repro.variants import REGISTRY
 
-    apps = _resolve_abbrs(parser, args) if (args.apps or args.workload) else DEFAULT_APPS
     configs = DEFAULT_CONFIGS
     if args.configs:
         configs = tuple(c.strip().upper() for c in args.configs.split(","))
@@ -585,7 +592,7 @@ def run_loadtest_cmd(parser, args) -> int:
         url=args.url,
         duration_s=args.duration,
         concurrency=args.concurrency,
-        apps=apps,
+        apps=_resolve_abbrs(args, default=DEFAULT_APPS),
         configs=configs,
         scale=args.scale,
         jobs=max(1, args.jobs),
@@ -611,62 +618,41 @@ def run_config_check(parser, args) -> int:
     return 0 if report.ok else 1
 
 
-def run_sweep(parser, args, overrides) -> int:
+def run_sweep(parser, args) -> int:
     """`python -m repro sweep FIELD --values V1,V2,... [--apps ABBR]`."""
-    if not args.workload:
-        parser.error("sweep needs a dotted config field, e.g. darsie.skip_ports")
-    if not args.values:
-        parser.error("sweep needs --values V1,V2,...")
-    field = args.workload
-    try:
-        # Reuse override parsing so swept values get the field's type
-        # (ints in any base, bools as true/false/0/1, ...).
-        values = [
-            parse_overrides([f"{field}={text.strip()}"])[field]
-            for text in args.values.split(",")
-        ]
-    except ConfigError as exc:
-        parser.error(str(exc))
+    values = [text.strip() for text in args.values.split(",")]
     abbr = "MM"
     if args.apps:
-        abbr = args.apps.split(",")[0].strip().upper()
+        if len(args.apps) > 1:
+            parser.error(f"sweep takes one app; got {','.join(args.apps)}")
+        abbr = args.apps[0]
         if abbr not in ALL_ABBRS:
             parser.error(f"unknown app {abbr!r}; known: {ALL_ABBRS}")
-    gpu_config = None
-    if overrides:
-        non_gpu = sorted(p for p in overrides if not p.startswith("gpu."))
-        if non_gpu:
-            parser.error(
-                f"sweep takes the swept field positionally; --set only accepts "
-                f"gpu.* here, got {non_gpu}"
-            )
-        gpu_config = apply_overrides(RunConfig(abbr="MM"), overrides).gpu
+    gpu_config = _gpu_config(parser, args)
     start = time.perf_counter()
     try:
         result = ablation_sweep(
-            field, values, abbr=abbr, scale=args.scale, gpu_config=gpu_config
+            args.field, values, abbr=abbr, scale=args.scale, gpu_config=gpu_config
         )
     except ConfigError as exc:
         parser.error(str(exc))
     print(result.render())
     if result.sweep_stats is not None:
         print(f"\n{result.sweep_stats.render()}")
-    print(f"\n[sweep of {field} done in {time.perf_counter() - start:.1f}s]")
+    print(f"\n[sweep of {args.field} done in {time.perf_counter() - start:.1f}s]")
     return 0
 
 
-def run_workload(parser, args, overrides) -> int:
+def run_workload(parser, args) -> int:
     """`python -m repro run ABBR --config NAME [--set PATH=VALUE] [--trace]`."""
     from repro.harness.runner import WorkloadRunner
     from repro.timing import PipelineTrace
     from repro.timing.gpu import GPU
     from repro.variants import REGISTRY
 
-    if not args.workload or args.workload.upper() not in EXTENDED_ABBRS:
-        parser.error(f"run needs a workload from {EXTENDED_ABBRS}")
-    cfg = RunConfig(abbr=args.workload.upper(), variant=args.config, scale=args.scale)
+    cfg = RunConfig(abbr=args.workload, variant=args.config, scale=args.scale)
     try:
-        cfg = apply_overrides(cfg, overrides)
+        cfg = apply_overrides(cfg, dict(args.overrides))
     except ConfigError as exc:
         parser.error(str(exc))
     if cfg.darsie is None and cfg.variant not in REGISTRY:

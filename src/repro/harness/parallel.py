@@ -46,7 +46,7 @@ All of it is provoked deterministically by the seeded fault-injection
 layer in :mod:`repro.harness.faults` (``python -m repro chaos``).
 
 The figure drivers in :mod:`repro.harness.experiments` are wired through
-:func:`sweep` / :func:`functional_sweep`; ``python -m repro --jobs N``
+:func:`sweep` / :func:`functional_sweep`; ``python -m repro <command> --jobs N``
 and the benchmark suite (``REPRO_JOBS``) select the pool width.
 """
 
@@ -367,11 +367,8 @@ _defaults = {
     "jobs": 1,
     "use_cache": True,
     "cache_dir": None,
-    "timeout_s": 0.0,
-    "max_retries": 0,
     "resume": None,
-    "checkpoint_interval_cycles": 0,
-    "max_cycles": 0,
+    "policy": ExecPolicy(),
 }
 
 _last_sweep: Optional[SweepStats] = None
@@ -381,11 +378,8 @@ def configure(
     jobs: Optional[int] = None,
     use_cache: Optional[bool] = None,
     cache_dir: Optional[str] = None,
-    timeout_s: Optional[float] = None,
-    max_retries: Optional[int] = None,
     resume: Optional[Union[bool, str]] = None,
-    checkpoint_interval_cycles: Optional[int] = None,
-    max_cycles: Optional[int] = None,
+    policy: Optional[ExecPolicy] = None,
 ) -> None:
     """Set process-wide defaults for subsequent sweeps."""
     if jobs is not None:
@@ -394,16 +388,10 @@ def configure(
         _defaults["use_cache"] = bool(use_cache)
     if cache_dir is not None:
         _defaults["cache_dir"] = cache_dir
-    if timeout_s is not None:
-        _defaults["timeout_s"] = max(0.0, float(timeout_s))
-    if max_retries is not None:
-        _defaults["max_retries"] = max(0, int(max_retries))
     if resume is not None:
         _defaults["resume"] = resume or None
-    if checkpoint_interval_cycles is not None:
-        _defaults["checkpoint_interval_cycles"] = max(0, int(checkpoint_interval_cycles))
-    if max_cycles is not None:
-        _defaults["max_cycles"] = max(0, int(max_cycles))
+    if policy is not None:
+        _defaults["policy"] = policy
 
 
 def default_jobs() -> int:
@@ -1195,15 +1183,9 @@ def run_specs(
     jobs = max(1, int(jobs if jobs is not None else _defaults["jobs"]))
     caching = bool(_defaults["use_cache"] if use_cache is None else use_cache)
     directory = resolve_cache_dir(cache_dir)
-    # .get(): tests monkeypatch _defaults with minimal dicts.
-    resume_path = resume if resume is not None else _defaults.get("resume")
+    resume_path = resume if resume is not None else _defaults["resume"]
     resume_path = resume_path if isinstance(resume_path, str) and resume_path else None
-    base_policy = policy or ExecPolicy(
-        timeout_s=float(_defaults.get("timeout_s", 0.0)),
-        max_retries=int(_defaults.get("max_retries", 0)),
-        checkpoint_interval_cycles=int(_defaults.get("checkpoint_interval_cycles", 0)),
-        max_cycles=int(_defaults.get("max_cycles", 0)),
-    )
+    base_policy = policy or _defaults["policy"]
 
     start = time.perf_counter()
     outcomes: List[Optional[RunOutcome]] = [None] * len(specs)

@@ -89,8 +89,7 @@ class TestDualIssueReachable:
     def test_cli_runs_dual_issue(self, capsys):
         from repro.__main__ import main
 
-        assert main(["run", "MM", "--scale", "tiny", "--config", "DUAL-ISSUE",
-                     "--no-cache"]) == 0
+        assert main(["run", "MM", "--scale", "tiny", "--config", "DUAL-ISSUE"]) == 0
         out = capsys.readouterr().out
         assert "DUAL-ISSUE" in out and "cycles" in out
 
@@ -143,8 +142,7 @@ class TestOneRegistrationExtension:
     def test_cli_runs_new_variant(self, ports16, capsys):
         from repro.__main__ import main
 
-        assert main(["run", "MM", "--scale", "tiny", "--config", self.NAME,
-                     "--no-cache"]) == 0
+        assert main(["run", "MM", "--scale", "tiny", "--config", self.NAME]) == 0
         out = capsys.readouterr().out
         assert self.NAME in out and "cycles" in out
 

@@ -43,12 +43,12 @@ class TestRunSubcommand:
 class TestSetOverrides:
     def test_run_with_darsie_override(self, capsys):
         assert main(["run", "MM", "--scale", "tiny", "--config", "DARSIE",
-                     "--set", "darsie.skip_ports=4", "--no-cache"]) == 0
+                     "--set", "darsie.skip_ports=4"]) == 0
         assert "under DARSIE" in capsys.readouterr().out
 
     def test_run_override_can_switch_scale(self, capsys):
         assert main(["run", "MM", "--config", "BASE",
-                     "--set", "scale=tiny", "--no-cache"]) == 0
+                     "--set", "scale=tiny"]) == 0
         assert "MM [tiny]" in capsys.readouterr().out
 
     def test_experiment_with_gpu_override(self, capsys):

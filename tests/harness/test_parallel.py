@@ -238,8 +238,8 @@ class TestProcessPool:
     def test_figure8_pool_render_is_byte_identical(self, cache_dir, monkeypatch):
         from repro.harness import experiments
 
-        monkeypatch.setattr(parallel, "_defaults",
-                            dict(jobs=1, use_cache=False, cache_dir=cache_dir))
+        monkeypatch.setattr(parallel, "_defaults", dict(parallel._defaults))
+        parallel.configure(jobs=1, use_cache=False, cache_dir=cache_dir)
         serial = experiments.figure8(scale="tiny", abbrs=("LIB", "FWS"))
         parallel.configure(jobs=2)
         pooled = experiments.figure8(scale="tiny", abbrs=("LIB", "FWS"))

@@ -319,7 +319,7 @@ class TestPipelineTraceStageRows:
 
         path = tmp_path / "pt.jsonl"
         assert main(["run", "MM", "--scale", "tiny", "--config", "BASE",
-                     "--pipeline-trace", str(path), "--no-cache"]) == 0
+                     "--pipeline-trace", str(path)]) == 0
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert rows and {"cycle", "sm", "stages"} <= set(rows[0])
         assert "stage-occupancy samples" in capsys.readouterr().out

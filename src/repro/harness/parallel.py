@@ -998,9 +998,12 @@ def _run_pool(
 ) -> None:
     """Process-pool execution with timeouts, retries and pool recovery.
 
-    The scheduler keeps a work deque and an in-flight map.  Three fault
+    The scheduler keeps a work deque and an in-flight map.  Four fault
     paths reshape it:
 
+    - ``pool.submit`` raising ``BrokenProcessPool`` (a worker died
+      between waits) rebuilds the pool and requeues the item without
+      consuming one of its attempts;
     - a future that raises ``BrokenProcessPool`` means a worker died
       hard; every in-flight spec is a *suspect* (the stdlib cannot say
       which one killed the pool), so each gets a crash strike and is
@@ -1045,7 +1048,16 @@ def _run_pool(
         deadline = None
         if item.policy.timeout_s > 0:
             deadline = time.monotonic() + item.policy.timeout_s
-        future = pool.submit(_worker, item.spec, item.attempt, True, item.ckpt)
+        try:
+            future = pool.submit(_worker, item.spec, item.attempt, True, item.ckpt)
+        except BrokenProcessPool:
+            # A worker died since the last wait and the executor now
+            # refuses work.  The item never ran: put it back with its
+            # attempt unspent and rebuild; the dead pool's in-flight
+            # futures still surface the break and are disposed as usual.
+            requeue(item)
+            rebuild()
+            return
         inflight[future] = (item, deadline, pool)
 
     def requeue(item: _Attempt) -> None:

@@ -17,7 +17,7 @@ Two consumers share this engine:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -124,6 +124,20 @@ class FunctionalEngine:
         # evaluation bypasses the warp's (stale) private register.
         self._reg_overrides: Dict[str, np.ndarray] = {}
         self._pred_overrides: Dict[str, np.ndarray] = {}
+        # Read-only 32-lane arrays of Immediate/Param operands, built on
+        # first use: id(operand) -> (operand, array).  Keyed by identity,
+        # not equality: the frozen operand dataclasses make Immediate(1)
+        # == Immediate(1.0) and Immediate(0.0) == Immediate(-0.0), which
+        # differ in dtype or sign.  Holding the operand keeps its id
+        # from being reused by another object.
+        self._constants: Dict[int, Tuple[object, np.ndarray]] = {}
+
+    def __getstate__(self):
+        # The constant cache is keyed by id(), which a pickle round trip
+        # (a simulation checkpoint) does not preserve: rebuild it instead.
+        state = dict(self.__dict__)
+        state["_constants"] = {}
+        return state
 
     # -- operand evaluation ------------------------------------------------
 
@@ -139,16 +153,24 @@ class FunctionalEngine:
             if override is not None:
                 return override
             return warp.registers.read_pred(operand.name)
+        cached = self._constants.get(id(operand))
+        if cached is not None:
+            return cached[1]
         if isinstance(operand, Immediate):
             dtype = _FLOAT if operand.is_float else _INT
-            return np.full(n, operand.value, dtype=dtype)
+            return self._constant(operand, np.full(n, operand.value, dtype=dtype))
         if isinstance(operand, Param):
             value = self.ctx.params[operand.name]
             dtype = _FLOAT if isinstance(value, float) else _INT
-            return np.full(n, value, dtype=dtype)
+            return self._constant(operand, np.full(n, value, dtype=dtype))
         if isinstance(operand, Special):
             return self._eval_special(operand.name, warp, tb)
         raise ExecutionError(f"cannot evaluate operand {operand!r}")
+
+    def _constant(self, operand, array: np.ndarray) -> np.ndarray:
+        array.setflags(write=False)  # an in-place use raises, not corrupts
+        self._constants[id(operand)] = (operand, array)
+        return array
 
     def _eval_special(self, name: str, warp: WarpState, tb: ThreadBlockState) -> np.ndarray:
         n = self.ctx.launch.warp_size

@@ -29,7 +29,7 @@ def _check_addr(addr: np.ndarray, limit_bytes: int, space: str) -> np.ndarray:
             f"{space} access out of range: [{addr.min()}, {addr.max()}] "
             f"outside [0, {limit_bytes})"
         )
-    if addr.size and np.any(addr % WORD_BYTES):
+    if addr.size and (addr % WORD_BYTES).any():
         raise MemoryError_(f"misaligned {space} access")
     return addr >> 2
 

@@ -45,7 +45,7 @@ class WarpRegisterFile:
         value = np.asarray(value)
         if value.shape != (self.warp_size,):
             value = np.broadcast_to(value, (self.warp_size,)).copy()
-        if mask is None or bool(np.all(mask)):
+        if mask is None or mask.all():
             self._regs[name] = value.copy()
             return
         old = self.read(name)
@@ -71,7 +71,7 @@ class WarpRegisterFile:
 
     def write_pred(self, name: str, value: np.ndarray, mask: Optional[np.ndarray] = None) -> None:
         value = np.asarray(value, dtype=bool)
-        if mask is None or bool(np.all(mask)):
+        if mask is None or mask.all():
             self._preds[name] = value.copy()
         else:
             self._preds[name] = np.where(mask, value, self.read_pred(name))

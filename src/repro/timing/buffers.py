@@ -7,7 +7,9 @@ the structures defined here:
   buffer between fetch/decode and issue.  The buffer maintains its own
   occupancy counters (real entries vs zero-cost entries) and mirrors the
   zero-cost population into a pipeline-wide :class:`ZeroCostLedger` so
-  the decode-skip drain can early-out in O(1).
+  the decode-skip drain can early-out in O(1).  Every mutation also
+  marks the owning warp in the pipeline's dirty set, so the issue stage
+  re-derives that warp's readiness before its next selection slot.
 - :class:`IssueSlot` — one selected instruction travelling from the
   issue stage through operand collection into execute.
 - :class:`WritebackQueue` — the latency-ordered queue of in-flight
@@ -23,7 +25,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.isa.instructions import Instruction
 
@@ -75,17 +77,23 @@ class IBuffer:
     ``zero_cost`` counts free entries and skip tokens, which were never
     fetched.  All mutation goes through :meth:`push` / :meth:`pop` /
     :meth:`clear` so the counters (and the shared ledger) can never
-    drift from the queue contents.
+    drift from the queue contents.  Each of them also adds ``owner``
+    to the ``dirty`` set: the head entry is an input of the issue
+    stage's ready mask.
     """
 
-    __slots__ = ("entries", "buffered", "zero_cost", "_ledger")
+    __slots__ = ("entries", "buffered", "zero_cost", "_ledger", "_dirty", "_owner")
 
-    def __init__(self, ledger: ZeroCostLedger) -> None:
+    def __init__(
+        self, ledger: ZeroCostLedger, dirty: Set["WarpRuntime"], owner: "WarpRuntime"
+    ) -> None:
         #: underlying queue — read-only for peeking; mutate via methods
         self.entries: Deque[IBufferEntry] = deque()
         self.buffered: int = 0
         self.zero_cost: int = 0
         self._ledger = ledger
+        self._dirty = dirty
+        self._owner = owner
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -101,6 +109,7 @@ class IBuffer:
 
     def push(self, entry: IBufferEntry) -> None:
         self.entries.append(entry)
+        self._dirty.add(self._owner)
         if entry.free or entry.skip_token:
             self.zero_cost += 1
             self._ledger.total += 1
@@ -109,6 +118,7 @@ class IBuffer:
 
     def pop(self) -> IBufferEntry:
         entry = self.entries.popleft()
+        self._dirty.add(self._owner)
         if entry.free or entry.skip_token:
             self.zero_cost -= 1
             self._ledger.total -= 1
@@ -120,6 +130,7 @@ class IBuffer:
         if self.zero_cost:
             self._ledger.total -= self.zero_cost
         self.entries.clear()
+        self._dirty.add(self._owner)
         self.buffered = 0
         self.zero_cost = 0
 
@@ -131,7 +142,7 @@ class IBuffer:
             self.zero_cost = 0
 
 
-@dataclass(frozen=True)
+@dataclass
 class IssueSlot:
     """One instruction selected by the issue stage, on its way through
     operand collection into execute (same-cycle, fully bypassed)."""

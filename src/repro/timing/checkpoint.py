@@ -30,8 +30,9 @@ from repro.timing.gpu import GPU
 #: container magic — bumped only if the container layout itself changes
 CHECKPOINT_MAGIC = b"REPROCKPT\n"
 #: payload format version: bump whenever the pickled simulator state is
-#: not expected to round-trip across code revisions
-CHECKPOINT_VERSION = 1
+#: not expected to round-trip across code revisions (2: the issue stage
+#: keeps ready bitmasks and warps/I-buffers carry dirty-set links)
+CHECKPOINT_VERSION = 2
 
 _HEADER = struct.Struct(">I")
 _DIGEST_SIZE = hashlib.sha256().digest_size

@@ -38,13 +38,21 @@ bit-identical to the straightforward per-cycle recomputation.
 jump over stretches of cycles where every warp is provably blocked on a
 known-future event (see :meth:`SMCore.wake_cycle` /
 :meth:`SMCore.advance_idle`).
+
+Wake-driven issue: the issue stage never scans warps; it keeps ready
+bitmasks per scheduler and re-derives a warp's bits only after the
+warp lands in the pipeline's ``dirty`` set.  A warp is marked by
+exactly these events — I-buffer ``push``/``pop``/``clear``, writeback's
+scoreboard release, :meth:`WarpRuntime.resync_fetch` (which every
+barrier, SILICON-SYNC and DARSIE branch-sync release calls) and launch
+— and threadblock removal clears its bits.  That list is a contract: a
+new input to issue readiness must mark the warp dirty where it changes.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.isa.instructions import Instruction
 from repro.simt.executor import ExecutionContext, FunctionalEngine, ThreadBlockState
 from repro.timing.buffers import (  # noqa: F401  (IBufferEntry re-exported: stable import path)
     IBuffer,
@@ -70,11 +78,16 @@ class WarpRuntime:
         self.tb_rt = tb_rt
         self.scheduler_id = scheduler_id
         self.age = age
+        #: this warp's bit in its scheduler's age-ordered issue masks
+        self.issue_bit: int = 1 << (age // core.config.num_schedulers)
         self.core = core
         self.fetch_pc: int = warp.pc
+        #: the pipeline's dirty set: warps whose issue readiness may have
+        #: changed since the issue stage last refreshed its masks
+        self._dirty = core.pipeline.dirty
         #: decoded instructions awaiting issue (occupancy counters live
         #: on the buffer; zero-cost entries mirror into the shared ledger)
-        self.ibuffer: IBuffer = IBuffer(core.pipeline.zero_cost)
+        self.ibuffer: IBuffer = IBuffer(core.pipeline.zero_cost, self._dirty, self)
         #: fetch stalled after a control instruction until it executes
         self.cf_stalled: bool = False
         #: blocked at a TB-wide branch barrier (DARSIE / SILICON-SYNC)
@@ -95,19 +108,10 @@ class WarpRuntime:
     def exited(self) -> bool:
         return self.warp.exited
 
-    def buffered(self) -> int:
-        return self.ibuffer.buffered
-
     def push_entry(self, entry: IBufferEntry) -> None:
         """Append ``entry`` keeping the occupancy counters in sync (the
         only way frontends may enqueue free entries / skip tokens)."""
         self.ibuffer.push(entry)
-
-    def pop_head(self) -> IBufferEntry:
-        return self.ibuffer.pop()
-
-    def clear_ibuffer(self) -> None:
-        self.ibuffer.clear()
 
     def fetch_ready(self) -> bool:
         return not (
@@ -118,9 +122,14 @@ class WarpRuntime:
         )
 
     def resync_fetch(self) -> None:
-        """Re-point the frontend at the architectural PC (post-branch)."""
+        """Re-point the frontend at the architectural PC (post-branch).
+
+        Every release of a blocked warp (barrier, branch sync) ends
+        here, so this is also where the warp is marked for the issue
+        stage's next readiness refresh."""
         self.fetch_pc = self.warp.pc
         self.cf_stalled = False
+        self._dirty.add(self)
 
 
 class TBRuntime:
@@ -135,15 +144,6 @@ class TBRuntime:
 
     def live_warps(self) -> List[WarpRuntime]:
         return [w for w in self.warps if not w.exited]
-
-
-def _scoreboard_keys(inst: Instruction) -> Tuple[List[Tuple[str, str]], List[Tuple[str, str]]]:
-    """(source keys, dest keys) for hazard checking.
-
-    Thin compatibility wrapper over the tuples memoized on the
-    instruction at construction time.
-    """
-    return list(inst.sb_srcs), list(inst.sb_dests)
 
 
 class SMCore:

@@ -10,10 +10,12 @@ typed buffers in :mod:`repro.timing.buffers`:
 - :class:`DecodeSkipStage` — the zero-cost, in-order drain of eliminated
   instructions (DARSIE skip tokens, DAC-IDEAL free entries) at the head
   of each warp's I-buffer.
-- :class:`IssueStage` — the GTO / loose-round-robin warp schedulers.  A
-  selected instruction travels through operand collection into execute
-  *in the same cycle* (back-to-back pipeline with full bypass — exactly
-  the timing the monolithic core modelled).
+- :class:`IssueStage` — the GTO / loose-round-robin warp schedulers,
+  wake-driven: per-scheduler age-ordered ``cand``/``ready`` bitmasks
+  replace a per-cycle scan of every warp.  A selected instruction
+  travels through operand collection into execute *in the same cycle*
+  (back-to-back pipeline with full bypass — exactly the timing the
+  monolithic core modelled).
 - :class:`OperandCollectStage` — register-file reads and bank-conflict
   accounting, including DARSIE's rename-space conflicts (Section 6.1).
 - :class:`ExecuteStage` — functional execution, latency modelling and
@@ -33,11 +35,21 @@ Every stat is counted by exactly one stage, in the same per-cycle order
 the monolith used, so the refactor is bit-identical under the golden
 contract (``tests/timing/data/golden_tiny.json``) and the event-skip
 equivalence tests.
+
+The issue masks are kept current by dirty marks, not rediscovered: a
+warp joins :attr:`StagePipeline.dirty` on I-buffer ``push``/``pop``/
+``clear``, on writeback's scoreboard release, on
+``WarpRuntime.resync_fetch`` (every barrier, SILICON-SYNC and DARSIE
+branch-sync release calls it) and at launch, and the issue stage
+re-derives the bits of dirty warps before each selection slot.  This
+list is the contract: a new input to issue readiness must mark the warp
+dirty wherever it changes (``tests/timing/test_issue_masks.py`` checks
+the masks against a from-scratch recomputation after every tick).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.isa.instructions import INSTRUCTION_BYTES, Instruction, Opcode
 from repro.isa.operands import MemSpace
@@ -100,9 +112,10 @@ class WritebackStage(Stage):
                     "W", inst.pc,
                 )
             dests = meta.get("dests", ())
-            for key in dests:
-                wrt.scoreboard.discard(key)
             if dests:
+                for key in dests:
+                    wrt.scoreboard.discard(key)
+                self.pipeline.dirty.add(wrt)
                 core.stats.energy_events[EnergyEvent.RF_WRITE] += 1
             core.frontend.on_writeback(wrt, inst, meta)
 
@@ -155,10 +168,20 @@ def _hazard(wrt: "WarpRuntime", inst: Instruction) -> bool:
 class IssueStage(Stage):
     """The per-SM warp schedulers (GTO per Table 2, or loose RR).
 
-    Owns the per-scheduler warp lists (in age order), the greedy
-    pointers and the round-robin cursors; selected instructions are
-    handed to operand collection and execute as an
-    :class:`~repro.timing.buffers.IssueSlot` within the same cycle.
+    Wake-driven: instead of probing every warp every cycle, each
+    scheduler keeps two age-ordered bitmasks (bit ``warp.issue_bit``):
+
+    - ``cand`` — the warp is live and its I-buffer is non-empty;
+    - ``ready`` — ``cand``, and the head is a real instruction, the warp
+      is neither at a barrier nor branch-sync-blocked, and the head has
+      no scoreboard hazard (exactly when :meth:`_issue_from_warp` issues).
+
+    The masks are re-derived only for warps in the pipeline's ``dirty``
+    set, before every selection slot (an execute in one scheduler can
+    release a barrier for the next; DUAL-ISSUE's second slot sees the
+    first slot's effects).  Selected instructions are handed to operand
+    collection and execute as an :class:`~repro.timing.buffers.IssueSlot`
+    within the same cycle.
     """
 
     name = "issue"
@@ -167,33 +190,65 @@ class IssueStage(Stage):
 
     def __init__(self, pipeline: "StagePipeline") -> None:
         super().__init__(pipeline)
-        config = self.core.config
-        self._greedy: Dict[int, Optional["WarpRuntime"]] = {
-            s: None for s in range(config.num_schedulers)
-        }
-        self._issue_rr: Dict[int, int] = {s: 0 for s in range(config.num_schedulers)}
-        #: per-scheduler warp lists in age order (mirrors ``core.warps``)
-        self.sched_warps: List[List["WarpRuntime"]] = [
-            [] for _ in range(config.num_schedulers)
-        ]
+        n = self.core.config.num_schedulers
+        self._greedy: List[Optional["WarpRuntime"]] = [None] * n
+        self._issue_rr: List[int] = [0] * n
+        self._cand: List[int] = [0] * n
+        self._ready: List[int] = [0] * n
+        #: per scheduler: issue bit -> resident warp
+        self._warp_of: List[Dict[int, "WarpRuntime"]] = [{} for _ in range(n)]
 
     # -- residency bookkeeping (driven by the core) -------------------------
 
     def add_warp(self, wrt: "WarpRuntime") -> None:
-        self.sched_warps[wrt.scheduler_id].append(wrt)
+        self._warp_of[wrt.scheduler_id][wrt.issue_bit] = wrt
+        self.pipeline.dirty.add(wrt)
 
     def remove_tb(self, tb_rt: "TBRuntime") -> None:
-        self.sched_warps = [
-            [w for w in lst if w.tb_rt is not tb_rt] for lst in self.sched_warps
-        ]
+        dirty = self.pipeline.dirty
+        for wrt in tb_rt.warps:
+            sched, bit = wrt.scheduler_id, wrt.issue_bit
+            del self._warp_of[sched][bit]
+            self._cand[sched] &= ~bit
+            self._ready[sched] &= ~bit
+            dirty.discard(wrt)
 
     def advance_idle(self, delta: int) -> None:
         """Replay ``delta`` skipped idle cycles: each LRR scheduler that
         had issue candidates advances its rotation per cycle."""
         if self.core.config.scheduler_policy == "lrr":
-            for sched, swarps in enumerate(self.sched_warps):
-                if any(not w.warp.exited and w.ibuffer for w in swarps):
+            if self.pipeline.dirty:
+                self._refresh()
+            for sched, cand in enumerate(self._cand):
+                if cand:
                     self._issue_rr[sched] += delta
+
+    def _refresh(self) -> None:
+        """Re-derive the ``cand``/``ready`` bits of every dirty warp."""
+        cand = self._cand
+        ready = self._ready
+        dirty = self.pipeline.dirty
+        for wrt in dirty:
+            sched = wrt.scheduler_id
+            bit = wrt.issue_bit
+            entries = wrt.ibuffer.entries
+            if not entries or wrt.warp.exited:
+                cand[sched] &= ~bit
+                ready[sched] &= ~bit
+                continue
+            cand[sched] |= bit
+            head = entries[0]
+            if (
+                head.free
+                or head.skip_token
+                or wrt.warp.at_barrier
+                or wrt.branch_sync_blocked
+                or _hazard(wrt, head.inst)
+            ):
+                ready[sched] &= ~bit
+            else:
+                ready[sched] |= bit
+        dirty.clear()
 
     # -- the per-cycle schedulers -------------------------------------------
 
@@ -204,65 +259,59 @@ class IssueStage(Stage):
             self._run_gto(cycle)
 
     def _run_gto(self, cycle: int) -> None:
-        # Greedy-then-oldest (Table 2's GTO).  ``sched_warps`` is kept
-        # in age order, so trying the greedy warp first and then the
-        # rest in list order reproduces the sorted-candidates walk.
-        for sched, swarps in enumerate(self.sched_warps):
-            issued: List["WarpRuntime"] = []
+        # Greedy-then-oldest (Table 2's GTO): the greedy warp if it is
+        # ready, else the oldest ready warp (the lowest set bit).  With
+        # candidates but nothing ready the greedy pointer is dropped;
+        # with no candidates at all it is kept.
+        dirty = self.pipeline.dirty
+        for sched in range(len(self._cand)):
+            issued = 0
             for _slot in range(self.warps_per_cycle):
-                greedy = self._greedy[sched]
-                greedy_is_cand = (
-                    greedy is not None
-                    and greedy not in issued
-                    and not greedy.warp.exited
-                    and bool(greedy.ibuffer)
-                )
-                issued_from: Optional["WarpRuntime"] = None
-                had_candidate = greedy_is_cand
-                if greedy_is_cand and self._issue_from_warp(cycle, greedy):
-                    issued_from = greedy
-                if issued_from is None:
-                    for wrt in swarps:
-                        if (
-                            wrt is greedy
-                            or wrt in issued
-                            or wrt.warp.exited
-                            or not wrt.ibuffer
-                        ):
-                            continue
-                        had_candidate = True
-                        if self._issue_from_warp(cycle, wrt):
-                            issued_from = wrt
-                            break
-                if had_candidate:
-                    self._greedy[sched] = issued_from
-                if issued_from is None:
+                if dirty:
+                    self._refresh()
+                if not self._cand[sched] & ~issued:
                     break
-                issued.append(issued_from)
+                ready = self._ready[sched] & ~issued
+                if not ready:
+                    self._greedy[sched] = None
+                    break
+                wrt = self._greedy[sched]
+                if wrt is None or not ready & wrt.issue_bit:
+                    wrt = self._warp_of[sched][ready & -ready]
+                issued_n = self._issue_from_warp(cycle, wrt)
+                assert issued_n, "a ready warp must issue"
+                self._greedy[sched] = wrt
+                issued |= wrt.issue_bit
 
     def _run_lrr(self, cycle: int) -> None:
-        # Loose round-robin: rotate priority each cycle.
-        for sched, swarps in enumerate(self.sched_warps):
-            candidates = [w for w in swarps if not w.warp.exited and w.ibuffer]
-            if not candidates:
+        # Loose round-robin: each cycle the rotation starts one candidate
+        # further along the age-ordered candidates of the cycle's start.
+        dirty = self.pipeline.dirty
+        for sched in range(len(self._cand)):
+            if dirty:
+                self._refresh()
+            cand = self._cand[sched]
+            if not cand:
                 continue
-            n = len(candidates)
-            rot = self._issue_rr[sched] % n
+            rot = self._issue_rr[sched] % bin(cand).count("1")
             self._issue_rr[sched] += 1
-            issued: List["WarpRuntime"] = []
+            rest = cand
+            for _ in range(rot):
+                rest &= rest - 1
+            start = rest & -rest
+            at_or_after = ~(start - 1)
+            issued = 0
             for _slot in range(self.warps_per_cycle):
-                issued_from: Optional["WarpRuntime"] = None
-                for i in range(n):
-                    wrt = candidates[(rot + i) % n]
-                    if wrt in issued:
-                        continue
-                    if self._issue_from_warp(cycle, wrt):
-                        issued_from = wrt
-                        break
-                self._greedy[sched] = issued_from
-                if issued_from is None:
+                if dirty:
+                    self._refresh()
+                ready = self._ready[sched] & cand & ~issued
+                if not ready:
                     break
-                issued.append(issued_from)
+                pick = ready & at_or_after or ready
+                wrt = self._warp_of[sched][pick & -pick]
+                issued_n = self._issue_from_warp(cycle, wrt)
+                assert issued_n, "a ready warp must issue"
+                issued |= wrt.issue_bit
 
     def _issue_from_warp(self, cycle: int, wrt: "WarpRuntime") -> int:
         issued = 0
@@ -533,6 +582,9 @@ class StagePipeline:
         self.core = core
         self.zero_cost = ZeroCostLedger()
         self.wbq = WritebackQueue()
+        #: warps whose issue readiness may have changed since the issue
+        #: stage last refreshed its masks (see :class:`IssueStage`)
+        self.dirty: Set["WarpRuntime"] = set()
         #: state changes observed during the current tick
         self._activity = 0
         self.writeback = WritebackStage(self)

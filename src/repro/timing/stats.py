@@ -15,7 +15,16 @@ from typing import Dict
 
 
 class EnergyEvent(enum.Enum):
-    """Countable energy events (GPUWattch-style accounting)."""
+    """Countable energy events (GPUWattch-style accounting).
+
+    Members hash by identity at C level: the timing stages bump these
+    counters several times per instruction, and ``Enum``'s Python-level
+    ``__hash__`` would cost a call each time.  Equality is identity for
+    enum members anyway, and ``Counter`` iteration follows insertion
+    order, so keys, ``to_dict`` and pickles are unchanged.
+    """
+
+    __hash__ = object.__hash__
 
     ICACHE_FETCH = "icache_fetch"
     DECODE = "decode"

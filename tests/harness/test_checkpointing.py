@@ -14,7 +14,7 @@ import warnings
 
 import pytest
 
-from repro.config import ExecPolicy
+from repro.config import ExecPolicy, RunConfig
 from repro.harness import faults as faultlib
 from repro.harness import parallel
 from repro.harness.parallel import (
@@ -26,6 +26,14 @@ from repro.harness.parallel import (
     load_journal,
     run_specs,
 )
+from repro.harness.runner import WorkloadRunner
+from repro.timing.checkpoint import (
+    CHECKPOINT_MAGIC,
+    CheckpointError,
+    read_checkpoint,
+    write_checkpoint,
+)
+from repro.timing.gpu import GPU
 
 SPEC = RunSpec(abbr="LIB", config_name="DARSIE", scale="tiny")
 
@@ -107,6 +115,43 @@ class TestKillResume:
         assert stats.checkpoint_resumes == 0
         assert "checkpoint" not in stats.render()
         assert find_ckpts(str(tmp_path)) == []
+
+
+class TestFormatSkew:
+    def test_previous_version_checkpoint_is_ignored_and_run_starts_fresh(
+        self, tmp_path
+    ):
+        """A checkpoint left by an older checkout (format version 1) is
+        refused on read, and the attempt that finds it runs from cycle
+        zero to the same result as a clean run."""
+        (clean,), _ = run_specs([SPEC], jobs=1, use_cache=False)
+        runner = WorkloadRunner.from_config(
+            RunConfig(abbr=SPEC.abbr, variant=SPEC.config_name, scale=SPEC.scale)
+        )
+        mem, params = runner.workload.fresh()
+        gpu = GPU(
+            runner.simulation_program(SPEC.config_name), runner.workload.launch,
+            mem, params=params, config=runner.gpu_config,
+            frontend_factory=runner.frontend_factory(SPEC.config_name, None),
+        )
+        assert gpu.run_to(64) is None
+        path = checkpoint_path(SPEC, cache_key(SPEC), str(tmp_path))
+        write_checkpoint(path, gpu)
+        blob = bytearray(open(path, "rb").read())
+        blob[len(CHECKPOINT_MAGIC):len(CHECKPOINT_MAGIC) + 4] = (1).to_bytes(4, "big")
+        with open(path, "wb") as fh:
+            fh.write(bytes(blob))
+        with pytest.raises(CheckpointError, match="version 1"):
+            read_checkpoint(path)
+
+        (out,), stats = run_specs(
+            [SPEC], jobs=1, use_cache=True, cache_dir=str(tmp_path),
+            policy=CKPT_POLICY,
+        )
+        assert out.ok and out.attempts == 1
+        assert not out.checkpoint_resumed
+        assert stats.checkpoint_resumes == 0
+        assert out.result.sim.stats == clean.result.sim.stats
 
 
 class TestDeadlockArtifact:

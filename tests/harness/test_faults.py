@@ -7,6 +7,10 @@ crashes, injected cache-write faults surfacing in ``SweepStats``, and
 the ``chaos`` soak's end-to-end contract.
 """
 
+import random
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.config import ExecPolicy
@@ -164,6 +168,54 @@ class TestPoolFaultHandling:
         assert report.fault_stats.quarantined == report.plan.labels_for(faultlib.CRASH)
         assert report.fault_stats.pool_restarts >= 1
         assert report.resume_stats.journal_skips >= 1
+
+
+class _SubmitBreaksOnce:
+    """In-process stand-in for ``ProcessPoolExecutor`` whose
+    ``break_at``-th ``submit`` (counted across instances) raises
+    ``BrokenProcessPool``, as a pool whose worker was killed between two
+    waits does; every other submit runs the job and returns its result."""
+
+    submits = 0
+    instances = 0
+    break_at = 0
+
+    def __init__(self, max_workers, mp_context):
+        type(self).instances += 1
+
+    def submit(self, fn, *args):
+        cls = type(self)
+        cls.submits += 1
+        if cls.submits == cls.break_at:
+            raise BrokenProcessPool("a worker died between waits")
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+@pytest.mark.skipif(not parallel.supports_fork(), reason="needs fork start method")
+class TestSubmitOnBrokenPool:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_submit_break_rebuilds_and_requeues_without_an_attempt(
+        self, seed, monkeypatch
+    ):
+        specs = [SPEC, OTHER, RunSpec(abbr="LIB", config_name="UV", scale="tiny")]
+        monkeypatch.setattr(_SubmitBreaksOnce, "submits", 0)
+        monkeypatch.setattr(_SubmitBreaksOnce, "instances", 0)
+        monkeypatch.setattr(
+            _SubmitBreaksOnce, "break_at", random.Random(seed).randint(1, len(specs))
+        )
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _SubmitBreaksOnce)
+        policy = ExecPolicy(max_retries=0, backoff_base_s=0.0)
+        outcomes, stats = run_specs(specs, jobs=2, use_cache=False, policy=policy)
+        assert all(o.ok for o in outcomes)
+        assert [o.attempts for o in outcomes] == [1, 1, 1]
+        assert stats.pool_restarts == 1 and stats.retries == 0
+        assert _SubmitBreaksOnce.instances == 2
+        assert _SubmitBreaksOnce.submits == len(specs) + 1
 
 
 class TestChaosSerial:

@@ -23,6 +23,7 @@ from repro.timing import small_config
 from repro.timing.buffers import IBuffer, IBufferEntry, WritebackQueue, ZeroCostLedger
 from repro.timing.checkpoint import (
     CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     CheckpointError,
     read_checkpoint,
     write_checkpoint,
@@ -197,6 +198,18 @@ class TestCheckpointContainer:
         with pytest.raises(CheckpointError, match="version"):
             read_checkpoint(paused)
 
+    def test_previous_format_version_is_refused(self, paused):
+        # Version 1 pickled an issue stage that scanned per-scheduler
+        # warp lists; restoring it into the mask-keeping stage would
+        # leave fields missing, so the header alone must refuse it.
+        assert CHECKPOINT_VERSION == 2
+        blob = bytearray(open(paused, "rb").read())
+        blob[len(CHECKPOINT_MAGIC):len(CHECKPOINT_MAGIC) + 4] = (1).to_bytes(4, "big")
+        with open(paused, "wb") as fh:
+            fh.write(bytes(blob))
+        with pytest.raises(CheckpointError, match="version 1, expected 2"):
+            read_checkpoint(paused)
+
     def test_payload_bitrot_fails_checksum(self, paused):
         blob = bytearray(open(paused, "rb").read())
         blob[-1] ^= 0x01
@@ -230,7 +243,7 @@ class TestStructureRoundTrips:
 
     def test_ibuffers_keep_sharing_one_ledger(self):
         ledger = ZeroCostLedger()
-        bufs = [IBuffer(ledger), IBuffer(ledger)]
+        bufs = [IBuffer(ledger, set(), 0), IBuffer(ledger, set(), 1)]
         inst = assemble("nop\nexit").instructions[0]
         bufs[0].push(IBufferEntry(inst=inst))
         bufs[0].push(IBufferEntry(inst=inst, skip_token=True))

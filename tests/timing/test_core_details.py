@@ -13,33 +13,35 @@ from repro import (
     small_config,
 )
 from repro.timing.buffers import IBuffer, ZeroCostLedger
-from repro.timing.core import IBufferEntry, _scoreboard_keys
+from repro.timing.core import IBufferEntry
+
+
+def make_ibuffer(ledger, dirty=None, owner="warp"):
+    """A stand-alone I-buffer; ``dirty`` collects the owner's marks."""
+    return IBuffer(ledger, set() if dirty is None else dirty, owner)
 
 
 class TestScoreboardKeys:
     def test_alu_keys(self):
-        prog = assemble("mad.f32 $d, $a, $b, $c\nexit")
-        srcs, dests = _scoreboard_keys(prog.instructions[0])
-        assert set(srcs) == {("r", "a"), ("r", "b"), ("r", "c")}
-        assert dests == [("r", "d")]
+        inst = assemble("mad.f32 $d, $a, $b, $c\nexit").instructions[0]
+        assert set(inst.sb_srcs) == {("r", "a"), ("r", "b"), ("r", "c")}
+        assert inst.sb_dests == (("r", "d"),)
 
     def test_guard_and_address_are_sources(self):
-        prog = assemble("@$p0 st.global.f32 [$a + $i], $v\nexit")
-        srcs, dests = _scoreboard_keys(prog.instructions[0])
-        assert set(srcs) == {("r", "a"), ("r", "i"), ("r", "v"), ("p", "p0")}
-        assert dests == []
+        inst = assemble("@$p0 st.global.f32 [$a + $i], $v\nexit").instructions[0]
+        assert set(inst.sb_srcs) == {("r", "a"), ("r", "i"), ("r", "v"), ("p", "p0")}
+        assert inst.sb_dests == ()
 
     def test_setp_dest_is_predicate(self):
-        prog = assemble("setp.lt.u32 $p1, $a, $b\nexit")
-        _, dests = _scoreboard_keys(prog.instructions[0])
-        assert dests == [("p", "p1")]
+        inst = assemble("setp.lt.u32 $p1, $a, $b\nexit").instructions[0]
+        assert inst.sb_dests == (("p", "p1"),)
 
 
 class TestIBufferAccounting:
     def test_free_and_token_entries_do_not_occupy_slots(self):
         prog = assemble("nop\nexit")
         inst = prog.instructions[0]
-        ibuf = IBuffer(ZeroCostLedger())
+        ibuf = make_ibuffer(ZeroCostLedger())
         ibuf.push(IBufferEntry(inst=inst))
         ibuf.push(IBufferEntry(inst=inst, free=True))
         ibuf.push(IBufferEntry(inst=inst, skip_token=True))
@@ -48,7 +50,7 @@ class TestIBufferAccounting:
     def test_pop_and_clear_keep_counters_in_sync(self):
         prog = assemble("nop\nexit")
         inst = prog.instructions[0]
-        ibuf = IBuffer(ZeroCostLedger())
+        ibuf = make_ibuffer(ZeroCostLedger())
         ibuf.push(IBufferEntry(inst=inst))
         ibuf.push(IBufferEntry(inst=inst, free=True))
         assert (ibuf.buffered, ibuf.zero_cost) == (1, 1)
@@ -65,7 +67,7 @@ class TestIBufferAccounting:
         prog = assemble("nop\nexit")
         inst = prog.instructions[0]
         ledger = ZeroCostLedger()
-        a, b = IBuffer(ledger), IBuffer(ledger)
+        a, b = make_ibuffer(ledger), make_ibuffer(ledger)
         a.push(IBufferEntry(inst=inst, skip_token=True))
         a.push(IBufferEntry(inst=inst))
         b.push(IBufferEntry(inst=inst, free=True))

@@ -24,6 +24,24 @@ register rename/version unit and the majority-path mask:
 - When the **rename freelist empties**, the entry becomes a TB
   synchronization point: all majority warps gather at the PC so stale
   versions can be reclaimed (Section 4.3.5).
+
+The skip engine is wake-driven: :meth:`DarsieFrontend.fetch_cycle`
+probes only the warps set in the SM's ``skip_watch`` mask, in ascending
+age (the order of a full ``sm.tbs`` × warps scan).  A probe clears a
+warp's bit only when its outcome holds until the next mark: the warp is
+not skippable here (its flags were reset), parked in the warps-waiting
+bitmask, or an elected leader waiting for the fetch stage.  A warp that
+waits, skips or fetches privately stays watched.  Besides the timing
+side's marks (:mod:`repro.timing.core`), the engine marks its own state
+changes: :meth:`~DarsieFrontend._wake_parked` and
+:meth:`~DarsieFrontend._cancel_entry` (the TB's warps), a
+:meth:`~DarsieFrontend._maybe_release_sync` release, a warp leaving the
+majority path, ``on_syncthreads``, ``on_warp_exit``, ``on_store`` (the
+warps given a bypass PC) and ``on_global_communication`` (every resident
+warp).  This list is the contract: a new input to a warp's skip
+classification must set its bit wherever it changes
+(``tests/core/test_skip_watch.py`` checks every unwatched warp against a
+from-scratch evaluation after every tick).
 """
 
 from __future__ import annotations
@@ -39,9 +57,9 @@ from repro.core.promotion import promote_markings
 from repro.core.rename import Materialization, PortBudget, RegisterRenameUnit
 from repro.core.skip_table import PCSkipTable, SkipTableEntry
 from repro.core.taxonomy import Marking
-from repro.isa.instructions import INSTRUCTION_BYTES, Instruction
+from repro.isa.instructions import INSTRUCTION_BYTES
 from repro.isa.operands import MemSpace
-from repro.timing.core import IBufferEntry
+from repro.timing.core import IBufferEntry, WarpRuntime
 from repro.timing.frontend import FetchAction, Frontend
 from repro.timing.stats import EnergyEvent
 
@@ -93,10 +111,8 @@ class _TBState:
         self.branch_count: Dict[Tuple[int, int], int] = {}
         #: per-warp pending leader writes: key -> FIFO of reserved versions
         self.pending_leader: Dict[int, Dict[tuple, list]] = {}
-
-
-def _dest_key(inst: Instruction) -> Optional[tuple]:
-    return inst.dest_key
+        #: the TB's warps' bits in the SM's ``skip_watch`` mask
+        self.watch_bits: int = 0
 
 
 class DarsieFrontend(Frontend):
@@ -115,6 +131,8 @@ class DarsieFrontend(Frontend):
         self.promoted: Dict[int, Marking] = {}
         self._global_loads_disabled = False
         self._leader_pending_fetch: Dict[Tuple[int, int], int] = {}
+        #: ``skip_bit`` -> resident warp, for walking the watch mask
+        self._warp_of_bit: Dict[int, WarpRuntime] = {}
         self.coalescer = PCCoalescer(ports=self.cfg.skip_ports)
 
     # -- setup -------------------------------------------------------------
@@ -133,18 +151,30 @@ class DarsieFrontend(Frontend):
         self.program = sm.ctx.program
 
     def on_tb_launch(self, tb_rt) -> None:
-        tb_rt.frontend_state = _TBState(
+        st = tb_rt.frontend_state = _TBState(
             num_warps=len(tb_rt.warps),
             cfg=self.cfg,
             rf_banks=self.sm.config.rf_banks,
             rename_ports=self.sm.config.rename_ports,
             version_table_ports=self.sm.config.version_table_ports,
         )
+        for w in tb_rt.warps:
+            self._warp_of_bit[w.skip_bit] = w
+            st.watch_bits |= w.skip_bit
+
+    def on_tb_complete(self, tb_rt) -> None:
+        for w in tb_rt.warps:
+            del self._warp_of_bit[w.skip_bit]
 
     # -- helpers --------------------------------------------------------------
 
     def _st(self, tb_rt) -> _TBState:
         return tb_rt.frontend_state
+
+    def _watch(self, bits: int) -> None:
+        """Mark warps for the skip engine's next probe (bits of a warp
+        whose TB already left the SM are dropped by the probe)."""
+        self.sm.pipeline.skip_watch |= bits
 
     def _eligible(self, wrt) -> bool:
         st = wrt.tb_rt.frontend_state
@@ -174,52 +204,74 @@ class DarsieFrontend(Frontend):
         skip_pcs = self.skip_pcs
         if not skip_pcs:
             return  # fixed at bind time; nothing ever skips or blocks
+        pipeline = self.sm.pipeline
         pending = self._leader_pending_fetch
+        warp_of_bit = self._warp_of_bit
         candidates: List[Tuple[tuple, tuple]] = []
         warp_of: Dict[tuple, object] = {}
-        for tb_rt in self.sm.tbs:
-            st = self._st(tb_rt)
-            for wrt in tb_rt.warps:
-                if wrt.exited:
-                    continue
-                pc = wrt.fetch_pc
-                if (
-                    pc not in skip_pcs
-                    or not wrt.fetch_ready()
-                    or not self._skippable_here(wrt, pc)
-                ):
-                    wrt.skip_blocked = False
-                    wrt.skip_parked = False
-                    if pending:
-                        pending.pop((tb_rt.seq, wrt.warp.warp_id), None)
-                    continue
+        # Visit the watched warps in ascending age, re-reading the mask
+        # above the last visited bit after every probe: a mark a probe
+        # makes on a later warp is seen in this pass, one on an earlier
+        # warp next cycle.  A probe whose outcome holds until the next
+        # mark clears the warp's bit; the others leave it set.
+        floor = 1
+        while True:
+            watch = pipeline.skip_watch & -floor
+            if not watch:
+                break
+            bit = watch & -watch
+            floor = bit << 1
+            wrt = warp_of_bit.get(bit)
+            if wrt is None or wrt.exited:
+                # A stale mark (the TB already left the SM) or a dead warp.
+                pipeline.skip_watch &= ~bit
+                continue
+            pc = wrt.fetch_pc
+            if (
+                pc not in skip_pcs
+                or not wrt.fetch_ready()
+                or not self._skippable_here(wrt, pc)
+            ):
+                wrt.skip_blocked = False
+                wrt.skip_parked = False
+                if pending:
+                    pending.pop((wrt.tb_rt.seq, wrt.warp.warp_id), None)
+                pipeline.skip_watch &= ~bit
+                continue
+            if wrt.skip_parked:
+                # Parked in the warps-waiting bitmask: nothing that could
+                # change its classification has happened since (a wake
+                # event clears the flag and marks the warp).
+                pipeline.skip_watch &= ~bit
+                continue
+            tb_rt = wrt.tb_rt
+            wid = (tb_rt.seq, wrt.warp.warp_id)
+            if pending.get(wid) == pc:
+                # Already elected; waiting for the fetch stage.
+                pipeline.skip_watch &= ~bit
+                continue
+            state = self._classify(cycle, tb_rt, tb_rt.frontend_state, wrt, pc)
+            if state == "skip":
+                candidates.append((wid, (tb_rt.seq, pc)))
+                warp_of[wid] = (tb_rt, wrt)
+                wrt.skip_blocked = True  # released below if serviced
+            elif state == "wait" or state == "park":
+                if not wrt.skip_blocked:
+                    # One probe per arrival; the warps-waiting bitmask
+                    # parks the warp without re-probing (4.3.2).
+                    self.sm.stats.count(EnergyEvent.SKIP_TABLE_PROBE)
+                wrt.skip_blocked = True
+                # "park" has a guaranteed wake event (the leader's
+                # writeback); "wait" reasons are re-checked per cycle.
+                wrt.skip_parked = state == "park"
                 if wrt.skip_parked:
-                    # Parked in the warps-waiting bitmask: nothing that
-                    # could change its classification has happened since
-                    # (a wake event clears the bit), so skip the probe.
-                    continue
-                wid = (tb_rt.seq, wrt.warp.warp_id)
-                if pending.get(wid) == pc:
-                    continue  # already elected; waiting for the fetch stage
-                state = self._classify(cycle, tb_rt, st, wrt, pc)
-                if state == "skip":
-                    candidates.append((wid, (tb_rt.seq, pc)))
-                    warp_of[wid] = (tb_rt, wrt)
-                    wrt.skip_blocked = True  # released below if serviced
-                elif state == "wait" or state == "park":
-                    if not wrt.skip_blocked:
-                        # One probe per arrival; the warps-waiting bitmask
-                        # parks the warp without re-probing (4.3.2).
-                        self.sm.stats.count(EnergyEvent.SKIP_TABLE_PROBE)
-                    wrt.skip_blocked = True
-                    # "park" has a guaranteed wake event (the leader's
-                    # writeback); "wait" reasons are re-checked per cycle.
-                    wrt.skip_parked = state == "park"
-                elif state == "lead":
-                    wrt.skip_blocked = False
-                    self._leader_pending_fetch[wid] = pc
-                else:  # "fetch" — execute privately
-                    wrt.skip_blocked = False
+                    pipeline.skip_watch &= ~bit
+            elif state == "lead":
+                wrt.skip_blocked = False
+                self._leader_pending_fetch[wid] = pc
+                pipeline.skip_watch &= ~bit
+            else:  # "fetch" — execute privately
+                wrt.skip_blocked = False
 
         if not candidates:
             return
@@ -312,6 +364,7 @@ class DarsieFrontend(Frontend):
             entry.sync_required = False
             entry.warps_waiting.clear()
             self.sm.note_activity()
+            self._watch(st.watch_bits)
             for w in tb_rt.warps:
                 if w.warp.warp_id in members:
                     w.skip_blocked = False
@@ -321,7 +374,8 @@ class DarsieFrontend(Frontend):
     def _wake_parked(self, tb_rt) -> None:
         """Clear the warps-waiting park bits: something happened that can
         change a parked warp's classification (LeaderWB, cancellation),
-        so the scan re-probes each of them once."""
+        so the skip engine re-probes each of them once."""
+        self._watch(tb_rt.frontend_state.watch_bits)
         for w in tb_rt.warps:
             w.skip_parked = False
 
@@ -637,6 +691,7 @@ class DarsieFrontend(Frontend):
         warp_id = wrt.warp.warp_id
         self._materialize(wrt, st.rename.clear_warp(warp_id))
         st.majority.clear(warp_id)
+        self._watch(wrt.skip_bit)
         self.sm.stats.warps_left_majority += 1
         self._recheck(tb_rt, st)
 
@@ -663,6 +718,7 @@ class DarsieFrontend(Frontend):
         st.branch_wait.clear()
         st.pending_leader.clear()
         st.majority.reset_at_syncthreads()
+        self._watch(st.watch_bits)
         self.sm.stats.count(EnergyEvent.MAJORITY_MASK)
         for w in tb_rt.warps:
             w.skip_blocked = False
@@ -681,6 +737,7 @@ class DarsieFrontend(Frontend):
         # keep the differential end-state contract exact.
         self._materialize(wrt, st.rename.clear_warp(warp_id), count_energy=False)
         st.majority.warp_exited(warp_id)
+        self._watch(wrt.skip_bit)
         self._recheck(tb_rt, st)
 
     # -- memory-dependence events ---------------------------------------------
@@ -698,11 +755,13 @@ class DarsieFrontend(Frontend):
                 if wid in members and wid not in entry.warps_done:
                     w.bypass_pcs.add(entry.pc)
                     w.skip_blocked = False
+                    self._watch(w.skip_bit)
 
     def on_global_communication(self) -> None:
         self._global_loads_disabled = True
         for tb_rt in self.sm.tbs:
             st = self._st(tb_rt)
+            self._watch(st.watch_bits)
             removed = st.table.invalidate_loads()
             self.sm.stats.load_entries_invalidated += len(removed)
             members = set(st.majority.members())

@@ -28,6 +28,12 @@ candidate passed.  The stack:
    cycle, round-tripping through the on-disk checkpoint container, and
    resuming must reproduce the straight-through run bit for bit.
 
+The event-skip and checkpoint-resume oracles run DARSIE under one of
+:data:`DARSIE_SETTINGS`, chosen by ``data_seed``: the default, NO-CF-SYNC,
+IGNORE-STORE, or single-ported rename and version tables.  Those are
+the paths (majority-path exits, port stalls) where a state change the
+wake-driven skip engine is not told about would hide.
+
 Register capture uses :class:`CapturingFrontend`, a pure delegator that
 snapshots register files at ``on_tb_complete`` — the last hook at which
 a threadblock's warps are still attached to the SM.
@@ -40,7 +46,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.compiler_pass import analyze_program
-from repro.core.darsie import DarsieFrontend
+from repro.core.darsie import DarsieConfig, DarsieFrontend
 from repro.fuzz.spec import KernelSpec, build_fuzz_workload
 from repro.timing.config import small_config
 from repro.timing.frontend import Frontend, NullFrontend
@@ -132,9 +138,28 @@ class CapturingFrontend(Frontend):
         self.inner.on_global_communication()
 
 
-def _darsie_factory(spec: KernelSpec) -> Callable[[], Frontend]:
+#: (label, DarsieConfig fields, GPUConfig fields) of the DARSIE settings
+#: the event-skip and checkpoint-resume oracles pick from by data_seed
+DARSIE_SETTINGS: Tuple[Tuple[str, Dict[str, bool], Dict[str, int]], ...] = (
+    ("default", {}, {}),
+    ("no_cf_sync", {"no_cf_sync": True}, {}),
+    ("ignore_store", {"ignore_store": True}, {}),
+    ("finite_ports", {}, {"rename_ports": 1, "version_table_ports": 1}),
+)
+
+
+def _darsie_setting(spec: KernelSpec) -> Tuple[str, Dict[str, bool], Dict[str, int]]:
+    """The DARSIE setting ``spec``'s event-skip and checkpoint-resume
+    oracles run under."""
+    return DARSIE_SETTINGS[spec.data_seed % len(DARSIE_SETTINGS)]
+
+
+def _darsie_factory(
+    spec: KernelSpec, darsie: Optional[Dict[str, bool]] = None
+) -> Callable[[], Frontend]:
     analysis = analyze_program(spec.program())
-    return lambda: DarsieFrontend(analysis)
+    cfg = DarsieConfig(**(darsie or {}))
+    return lambda: DarsieFrontend(analysis, cfg)
 
 
 def _timing_run(
@@ -142,12 +167,14 @@ def _timing_run(
     frontend_factory: Callable[[], Frontend],
     event_skip: bool = True,
     trace: Optional[PipelineTrace] = None,
+    gpu_overrides: Optional[Dict[str, int]] = None,
 ) -> Tuple[SimulationResult, np.ndarray, RegisterDump]:
-    """One single-SM timing run, recording into ``trace`` if given;
-    returns (result, memory words, registers)."""
+    """One single-SM timing run with ``gpu_overrides`` applied to the
+    config, recording into ``trace`` if given; returns (result, memory
+    words, registers)."""
     memory, params = spec.fresh_memory()
     registers: RegisterDump = {}
-    config = small_config(num_sms=1, event_skip=event_skip)
+    config = small_config(num_sms=1, event_skip=event_skip, **(gpu_overrides or {}))
     with np.errstate(all="ignore"):
         gpu = GPU(
             spec.program(),
@@ -239,16 +266,21 @@ def oracle_meld(spec: KernelSpec) -> None:
 def oracle_event_skip(spec: KernelSpec) -> None:
     """Idle-cycle fast-forward may not change any simulated statistic,
     traced or not, nor what the pipeline trace records."""
-    factory = _darsie_factory(spec)
+    setting, darsie, gpu_overrides = _darsie_setting(spec)
+    factory = _darsie_factory(spec, darsie)
     skip_trace, step_trace = PipelineTrace(), PipelineTrace()
-    skipped, _, _ = _timing_run(spec, factory, event_skip=True)
-    traced, _, _ = _timing_run(spec, factory, event_skip=True, trace=skip_trace)
-    stepped, _, _ = _timing_run(spec, factory, event_skip=False, trace=step_trace)
+    skipped, _, _ = _timing_run(spec, factory, event_skip=True, gpu_overrides=gpu_overrides)
+    traced, _, _ = _timing_run(
+        spec, factory, event_skip=True, trace=skip_trace, gpu_overrides=gpu_overrides
+    )
+    stepped, _, _ = _timing_run(
+        spec, factory, event_skip=False, trace=step_trace, gpu_overrides=gpu_overrides
+    )
     b = stepped.to_dict()
     for label, run in (("skip", skipped), ("traced skip", traced)):
         a = run.to_dict()
         if a != b:
-            diffs = [
+            diffs = [f"DARSIE setting {setting}"] + [
                 f"{key}: {label}={a.get(key)!r} step={b.get(key)!r}"
                 for key in sorted(set(a) | set(b))
                 if a.get(key) != b.get(key)
@@ -258,8 +290,8 @@ def oracle_event_skip(spec: KernelSpec) -> None:
         if getattr(skip_trace, view) != getattr(step_trace, view):
             raise OracleFailure(
                 "event-skip", spec,
-                f"traced skip run recorded different trace {view} "
-                "than the stepped run",
+                f"DARSIE setting {setting}: traced skip run recorded "
+                f"different trace {view} than the stepped run",
             )
 
 
@@ -350,8 +382,9 @@ def oracle_checkpoint_resume(spec: KernelSpec) -> None:
     from repro.timing.checkpoint import read_checkpoint, write_checkpoint
     from repro.timing.gpu import GPU
 
-    factory = _darsie_factory(spec)
-    config = small_config(num_sms=1)
+    setting, darsie, gpu_overrides = _darsie_setting(spec)
+    factory = _darsie_factory(spec, darsie)
+    config = small_config(num_sms=1, **gpu_overrides)
 
     def fresh_gpu() -> GPU:
         memory, params = spec.fresh_memory()
@@ -394,7 +427,8 @@ def oracle_checkpoint_resume(spec: KernelSpec) -> None:
     if problems:
         raise OracleFailure(
             "checkpoint-resume", spec,
-            f"paused at cycle {stop}:\n" + "\n".join(problems[:12]),
+            f"DARSIE setting {setting}, paused at cycle {stop}:\n"
+            + "\n".join(problems[:12]),
         )
 
 

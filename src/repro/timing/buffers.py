@@ -9,7 +9,9 @@ the structures defined here:
   zero-cost population into a pipeline-wide :class:`ZeroCostLedger` so
   the decode-skip drain can early-out in O(1).  Every mutation also
   marks the owning warp in the pipeline's dirty set, so the issue stage
-  re-derives that warp's readiness before its next selection slot.
+  re-derives that warp's readiness before its next selection slot, and
+  sets its bit in the pipeline's ``skip_watch`` mask, so a skip engine
+  re-probes the warp on its next pass.
 - :class:`IssueSlot` — one selected instruction travelling from the
   issue stage through operand collection into execute.
 - :class:`WritebackQueue` — the latency-ordered queue of in-flight
@@ -25,12 +27,13 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 
 from repro.isa.instructions import Instruction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.timing.core import WarpRuntime
+    from repro.timing.stages import StagePipeline
 
 
 @dataclass
@@ -78,22 +81,27 @@ class IBuffer:
     fetched.  All mutation goes through :meth:`push` / :meth:`pop` /
     :meth:`clear` so the counters (and the shared ledger) can never
     drift from the queue contents.  Each of them also adds ``owner``
-    to the ``dirty`` set: the head entry is an input of the issue
-    stage's ready mask.
+    to the pipeline's ``dirty`` set (the head entry is an input of the
+    issue stage's ready mask) and sets ``owner.skip_bit`` in the
+    pipeline's ``skip_watch`` mask (every change to the warp's fetch PC,
+    control state or SIMT stack happens at a push or follows a pop).
     """
 
-    __slots__ = ("entries", "buffered", "zero_cost", "_ledger", "_dirty", "_owner")
+    __slots__ = (
+        "entries", "buffered", "zero_cost", "_ledger", "_dirty", "_pipeline",
+        "_owner", "_skip_bit",
+    )
 
-    def __init__(
-        self, ledger: ZeroCostLedger, dirty: Set["WarpRuntime"], owner: "WarpRuntime"
-    ) -> None:
+    def __init__(self, pipeline: "StagePipeline", owner: "WarpRuntime") -> None:
         #: underlying queue — read-only for peeking; mutate via methods
         self.entries: Deque[IBufferEntry] = deque()
         self.buffered: int = 0
         self.zero_cost: int = 0
-        self._ledger = ledger
-        self._dirty = dirty
+        self._ledger = pipeline.zero_cost
+        self._dirty = pipeline.dirty
+        self._pipeline = pipeline
         self._owner = owner
+        self._skip_bit: int = owner.skip_bit
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -104,12 +112,10 @@ class IBuffer:
     def __getitem__(self, index: int) -> IBufferEntry:
         return self.entries[index]
 
-    def head(self) -> Optional[IBufferEntry]:
-        return self.entries[0] if self.entries else None
-
     def push(self, entry: IBufferEntry) -> None:
         self.entries.append(entry)
         self._dirty.add(self._owner)
+        self._pipeline.skip_watch |= self._skip_bit
         if entry.free or entry.skip_token:
             self.zero_cost += 1
             self._ledger.total += 1
@@ -119,6 +125,7 @@ class IBuffer:
     def pop(self) -> IBufferEntry:
         entry = self.entries.popleft()
         self._dirty.add(self._owner)
+        self._pipeline.skip_watch |= self._skip_bit
         if entry.free or entry.skip_token:
             self.zero_cost -= 1
             self._ledger.total -= 1
@@ -131,6 +138,7 @@ class IBuffer:
             self._ledger.total -= self.zero_cost
         self.entries.clear()
         self._dirty.add(self._owner)
+        self._pipeline.skip_watch |= self._skip_bit
         self.buffered = 0
         self.zero_cost = 0
 

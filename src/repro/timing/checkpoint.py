@@ -31,8 +31,10 @@ from repro.timing.gpu import GPU
 CHECKPOINT_MAGIC = b"REPROCKPT\n"
 #: payload format version: bump whenever the pickled simulator state is
 #: not expected to round-trip across code revisions (2: the issue stage
-#: keeps ready bitmasks and warps/I-buffers carry dirty-set links)
-CHECKPOINT_VERSION = 2
+#: keeps ready bitmasks and warps/I-buffers carry dirty-set links; 3: the
+#: pipeline keeps the skip engine's ``skip_watch`` mask, warps carry a
+#: skip bit and the DARSIE frontend a bit -> warp map)
+CHECKPOINT_VERSION = 3
 
 _HEADER = struct.Struct(">I")
 _DIGEST_SIZE = hashlib.sha256().digest_size

@@ -47,6 +47,20 @@ scoreboard release, :meth:`WarpRuntime.resync_fetch` (which every
 barrier, SILICON-SYNC and DARSIE branch-sync release calls) and launch
 — and threadblock removal clears its bits.  That list is a contract: a
 new input to issue readiness must mark the warp dirty where it changes.
+
+Wake-driven skipping: a skip engine's per-cycle pass (DARSIE's
+``fetch_cycle``) visits only the warps whose bit (``WarpRuntime.skip_bit
+= 1 << age``) is set in the pipeline's ``skip_watch`` mask.  The timing
+side sets the bit on I-buffer ``push``/``pop``/``clear``, in
+:meth:`WarpRuntime.resync_fetch` and at launch; together these cover
+every change to a warp's fetch PC, ``cf_stalled``,
+``branch_sync_blocked``, ``at_barrier``, ``exited`` and SIMT stack
+(execute and the decode-skip reconvergence both follow a pop).
+Writeback's scoreboard release needs no skip mark: the scoreboard is no
+input to a skip classification.  Threadblock removal clears the bits.
+The frontend adds its own marks (see :mod:`repro.core.darsie`); a new
+input to a warp's skip classification must set the bit wherever it
+changes.
 """
 
 from __future__ import annotations
@@ -80,14 +94,17 @@ class WarpRuntime:
         self.age = age
         #: this warp's bit in its scheduler's age-ordered issue masks
         self.issue_bit: int = 1 << (age // core.config.num_schedulers)
+        #: this warp's bit in the SM-wide age-ordered ``skip_watch`` mask
+        self.skip_bit: int = 1 << age
         self.core = core
         self.fetch_pc: int = warp.pc
         #: the pipeline's dirty set: warps whose issue readiness may have
         #: changed since the issue stage last refreshed its masks
         self._dirty = core.pipeline.dirty
+        self._pipeline = core.pipeline
         #: decoded instructions awaiting issue (occupancy counters live
         #: on the buffer; zero-cost entries mirror into the shared ledger)
-        self.ibuffer: IBuffer = IBuffer(core.pipeline.zero_cost, self._dirty, self)
+        self.ibuffer: IBuffer = IBuffer(core.pipeline, self)
         #: fetch stalled after a control instruction until it executes
         self.cf_stalled: bool = False
         #: blocked at a TB-wide branch barrier (DARSIE / SILICON-SYNC)
@@ -126,10 +143,11 @@ class WarpRuntime:
 
         Every release of a blocked warp (barrier, branch sync) ends
         here, so this is also where the warp is marked for the issue
-        stage's next readiness refresh."""
+        stage's next readiness refresh and the skip engine's next pass."""
         self.fetch_pc = self.warp.pc
         self.cf_stalled = False
         self._dirty.add(self)
+        self._pipeline.skip_watch |= self.skip_bit
 
 
 class TBRuntime:
@@ -141,9 +159,6 @@ class TBRuntime:
         self.seq = seq
         self.frontend_state: Dict = {}
         self.completed = False
-
-    def live_warps(self) -> List[WarpRuntime]:
-        return [w for w in self.warps if not w.exited]
 
 
 class SMCore:

@@ -45,6 +45,9 @@ re-derives the bits of dirty warps before each selection slot.  This
 list is the contract: a new input to issue readiness must mark the warp
 dirty wherever it changes (``tests/timing/test_issue_masks.py`` checks
 the masks against a from-scratch recomputation after every tick).
+
+The skip engine's watch mask (:attr:`StagePipeline.skip_watch`) is kept
+the same way; its marks are listed in :mod:`repro.timing.core`.
 """
 
 from __future__ import annotations
@@ -203,6 +206,7 @@ class IssueStage(Stage):
     def add_warp(self, wrt: "WarpRuntime") -> None:
         self._warp_of[wrt.scheduler_id][wrt.issue_bit] = wrt
         self.pipeline.dirty.add(wrt)
+        self.pipeline.skip_watch |= wrt.skip_bit
 
     def remove_tb(self, tb_rt: "TBRuntime") -> None:
         dirty = self.pipeline.dirty
@@ -585,6 +589,10 @@ class StagePipeline:
         #: warps whose issue readiness may have changed since the issue
         #: stage last refreshed its masks (see :class:`IssueStage`)
         self.dirty: Set["WarpRuntime"] = set()
+        #: age-ordered mask of warps (bit ``WarpRuntime.skip_bit``) whose
+        #: skip classification may have changed since the skip engine
+        #: last probed them; BASE-like frontends never read it
+        self.skip_watch: int = 0
         #: state changes observed during the current tick
         self._activity = 0
         self.writeback = WritebackStage(self)
@@ -647,9 +655,11 @@ class StagePipeline:
 
     def remove_tb(self, tb_rt: "TBRuntime") -> None:
         """A threadblock left the SM: drop its warps from the issue
-        stage and its zero-cost entries from the shared ledger."""
+        stage and the skip watch, and its zero-cost entries from the
+        shared ledger."""
         for w in tb_rt.warps:
             w.ibuffer.detach()
+            self.skip_watch &= ~w.skip_bit
         self.issue.remove_tb(tb_rt)
 
     def _account_waits(self, cycle: int) -> None:

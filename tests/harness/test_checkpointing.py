@@ -118,12 +118,13 @@ class TestKillResume:
 
 
 class TestFormatSkew:
+    @pytest.mark.parametrize("old", [1, 2])
     def test_previous_version_checkpoint_is_ignored_and_run_starts_fresh(
-        self, tmp_path
+        self, tmp_path, old
     ):
-        """A checkpoint left by an older checkout (format version 1) is
-        refused on read, and the attempt that finds it runs from cycle
-        zero to the same result as a clean run."""
+        """A checkpoint left by an older checkout (format version 1 or
+        2) is refused on read, and the attempt that finds it runs from
+        cycle zero to the same result as a clean run."""
         (clean,), _ = run_specs([SPEC], jobs=1, use_cache=False)
         runner = WorkloadRunner.from_config(
             RunConfig(abbr=SPEC.abbr, variant=SPEC.config_name, scale=SPEC.scale)
@@ -138,10 +139,10 @@ class TestFormatSkew:
         path = checkpoint_path(SPEC, cache_key(SPEC), str(tmp_path))
         write_checkpoint(path, gpu)
         blob = bytearray(open(path, "rb").read())
-        blob[len(CHECKPOINT_MAGIC):len(CHECKPOINT_MAGIC) + 4] = (1).to_bytes(4, "big")
+        blob[len(CHECKPOINT_MAGIC):len(CHECKPOINT_MAGIC) + 4] = old.to_bytes(4, "big")
         with open(path, "wb") as fh:
             fh.write(bytes(blob))
-        with pytest.raises(CheckpointError, match="version 1"):
+        with pytest.raises(CheckpointError, match=f"version {old}"):
             read_checkpoint(path)
 
         (out,), stats = run_specs(

@@ -32,6 +32,12 @@ from repro.timing.gpu import GPU, DeadlockError
 from repro.variants import REGISTRY
 
 
+class StubOwner:
+    """Stands in for an I-buffer's owning warp (picklable, hashable)."""
+
+    skip_bit = 1
+
+
 def first_variant_per_tag():
     """One representative variant per registry tag (deduplicated)."""
     chosen = {}
@@ -198,16 +204,18 @@ class TestCheckpointContainer:
         with pytest.raises(CheckpointError, match="version"):
             read_checkpoint(paused)
 
-    def test_previous_format_version_is_refused(self, paused):
+    @pytest.mark.parametrize("old", [1, 2])
+    def test_previous_format_version_is_refused(self, paused, old):
         # Version 1 pickled an issue stage that scanned per-scheduler
-        # warp lists; restoring it into the mask-keeping stage would
-        # leave fields missing, so the header alone must refuse it.
-        assert CHECKPOINT_VERSION == 2
+        # warp lists, version 2 a pipeline without the skip engine's
+        # watch mask; restoring either into the current code would leave
+        # fields missing, so the header alone must refuse them.
+        assert CHECKPOINT_VERSION == 3
         blob = bytearray(open(paused, "rb").read())
-        blob[len(CHECKPOINT_MAGIC):len(CHECKPOINT_MAGIC) + 4] = (1).to_bytes(4, "big")
+        blob[len(CHECKPOINT_MAGIC):len(CHECKPOINT_MAGIC) + 4] = old.to_bytes(4, "big")
         with open(paused, "wb") as fh:
             fh.write(bytes(blob))
-        with pytest.raises(CheckpointError, match="version 1, expected 2"):
+        with pytest.raises(CheckpointError, match=f"version {old}, expected 3"):
             read_checkpoint(paused)
 
     def test_payload_bitrot_fails_checksum(self, paused):
@@ -243,7 +251,8 @@ class TestStructureRoundTrips:
 
     def test_ibuffers_keep_sharing_one_ledger(self):
         ledger = ZeroCostLedger()
-        bufs = [IBuffer(ledger, set(), 0), IBuffer(ledger, set(), 1)]
+        pipeline = types.SimpleNamespace(zero_cost=ledger, dirty=set(), skip_watch=0)
+        bufs = [IBuffer(pipeline, StubOwner()), IBuffer(pipeline, StubOwner())]
         inst = assemble("nop\nexit").instructions[0]
         bufs[0].push(IBufferEntry(inst=inst))
         bufs[0].push(IBufferEntry(inst=inst, skip_token=True))

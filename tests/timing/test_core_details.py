@@ -1,5 +1,7 @@
 """Focused tests of SM-core internals: GTO, I-buffers, skip tokens."""
 
+import types
+
 import numpy as np
 
 from repro import (
@@ -16,9 +18,16 @@ from repro.timing.buffers import IBuffer, ZeroCostLedger
 from repro.timing.core import IBufferEntry
 
 
-def make_ibuffer(ledger, dirty=None, owner="warp"):
-    """A stand-alone I-buffer; ``dirty`` collects the owner's marks."""
-    return IBuffer(ledger, set() if dirty is None else dirty, owner)
+class StubOwner:
+    """Stands in for the owning warp: hashable, with a skip-watch bit."""
+
+    skip_bit = 1
+
+
+def make_ibuffer(ledger):
+    """A stand-alone I-buffer over a stub pipeline."""
+    pipeline = types.SimpleNamespace(zero_cost=ledger, dirty=set(), skip_watch=0)
+    return IBuffer(pipeline, StubOwner())
 
 
 class TestScoreboardKeys:

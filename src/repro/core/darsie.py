@@ -576,13 +576,12 @@ class DarsieFrontend(Frontend):
         # did not architecturally produce ``dest_value`` — the register
         # kept its old (warp-private) contents there, so the value is
         # not shareable even though the PC is statically skippable.
-        full_write = not bool(np.any(wrt.warp.hw_mask & ~result.exec_mask))
         if (
             entry is not None
             and entry.leader_warp == warp_id
             and not entry.leader_wb
             and result.dest_value is not None
-            and full_write
+            and result.full_warp
             and version is not None
             and st.rename.can_allocate()
         ):

@@ -17,7 +17,7 @@ Two consumers share this engine:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -87,6 +87,9 @@ class StepResult:
     inst: Instruction
     warp: WarpState
     exec_mask: np.ndarray
+    #: ``exec_mask`` covers every hardware lane of the warp: no guard,
+    #: divergent path or dead lane of a partial warp left one out
+    full_warp: bool = False
     dest_value: Optional[np.ndarray] = None
     branch_taken_mask: Optional[np.ndarray] = None
     mem_addresses: Optional[np.ndarray] = None
@@ -96,6 +99,19 @@ class StepResult:
 
 _INT = np.int64
 _FLOAT = np.float64
+_INT_DTYPE = np.dtype(_INT)
+_FLOAT_DTYPE = np.dtype(_FLOAT)
+_BOOL_DTYPE = np.dtype(bool)
+
+Overrides = Optional[Dict[str, np.ndarray]]
+#: ``reader(warp, tb, reg_overrides, pred_overrides)`` -> one operand's lanes
+Reader = Callable[[WarpState, "ThreadBlockState", Overrides, Overrides], np.ndarray]
+#: ``thunk(tb, warp, reg_overrides, pred_overrides)`` -> the step's result
+Thunk = Callable[["ThreadBlockState", WarpState, Overrides, Overrides], StepResult]
+#: ``body(tb, warp, result, write_mask, reg_overrides, pred_overrides)``:
+#: an opcode's effect once the exec mask is known; ``write_mask`` is
+#: None when every lane executes
+Body = Callable[..., None]
 
 
 def _to_int(arr: np.ndarray) -> np.ndarray:
@@ -108,8 +124,130 @@ def _to_float(arr: np.ndarray) -> np.ndarray:
     return arr.astype(_FLOAT, copy=False)
 
 
+def _to_bool(arr: np.ndarray) -> np.ndarray:
+    return arr.astype(bool)
+
+
+def _float_to_int(arr: np.ndarray) -> np.ndarray:
+    return _to_int(_to_float(arr))
+
+
+def _int_to_float(arr: np.ndarray) -> np.ndarray:
+    return _to_float(_to_int(arr))
+
+
+#: casts that return their input unchanged for lanes already of this dtype
+_CAST_KEEPS = {_to_int: _INT_DTYPE, _to_float: _FLOAT_DTYPE, _to_bool: _BOOL_DTYPE}
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)  # an in-place use raises, not corrupts
+    return array
+
+
+def _safe_div(a: np.ndarray, b: np.ndarray, dtype: DType) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(b != 0, _to_float(a) / np.where(b != 0, _to_float(b), 1.0), 0.0)
+    if dtype.is_float:
+        return out
+    return np.trunc(out).astype(_INT)
+
+
+_COMPARE = {
+    CmpOp.EQ: np.equal,
+    CmpOp.NE: np.not_equal,
+    CmpOp.LT: np.less,
+    CmpOp.LE: np.less_equal,
+    CmpOp.GT: np.greater,
+    CmpOp.GE: np.greater_equal,
+}
+
+#: ALU/SFU opcodes whose semantics are one numpy call on the cast sources
+_UFUNCS = {
+    Opcode.MOV: np.ndarray.copy,
+    Opcode.CVT: np.ndarray.copy,
+    Opcode.ADD: np.add,
+    Opcode.SUB: np.subtract,
+    Opcode.MUL: np.multiply,
+    Opcode.MIN: np.minimum,
+    Opcode.MAX: np.maximum,
+    Opcode.ABS: np.abs,
+    Opcode.NEG: np.negative,
+    Opcode.AND: np.bitwise_and,
+    Opcode.OR: np.bitwise_or,
+    Opcode.XOR: np.bitwise_xor,
+    Opcode.NOT: np.invert,
+    Opcode.SIN: np.sin,
+    Opcode.COS: np.cos,
+}
+#: opcodes that operate on integer lanes whatever the type suffix
+_INT_OPS = frozenset({Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.NOT, Opcode.SHL, Opcode.SHR})
+#: opcodes that operate on float lanes whatever the type suffix
+_FLOAT_OPS = frozenset(
+    {Opcode.RCP, Opcode.SQRT, Opcode.EX2, Opcode.LG2, Opcode.SIN, Opcode.COS}
+)
+
+
+def _semantics(inst: Instruction) -> Callable[..., np.ndarray]:
+    """The lane function of an ALU/SFU opcode over its cast sources."""
+    op = inst.opcode
+    dtype = inst.dtype
+    fn = _UFUNCS.get(op)
+    if fn is not None:
+        return fn
+    if op is Opcode.SETP:
+        return _COMPARE[inst.cmp]
+    if op is Opcode.SELP:
+        return lambda a, b, p: np.where(p, a, b)
+    if op is Opcode.MAD:
+        return lambda a, b, c: a * b + c
+    if op is Opcode.SHL:
+        return lambda a, b: a << np.clip(b, 0, 63)
+    if op is Opcode.SHR:
+        return lambda a, b: a >> np.clip(b, 0, 63)
+    if op is Opcode.DIV:
+        return lambda a, b: _safe_div(a, b, dtype)
+    if op is Opcode.REM:
+        # C-style remainder: a - trunc(a/b)*b (also for floats).
+        if dtype.is_float:
+            return lambda a, b: a - np.trunc(_safe_div(a, b, DType.F32)) * b
+        return lambda a, b: a - np.trunc(_safe_div(a, b, DType.F32)).astype(_INT) * b
+    if op is Opcode.RCP:
+        return lambda a: _safe_div(np.ones_like(a), a, DType.F32)
+    if op is Opcode.SQRT:
+        return lambda a: np.sqrt(np.maximum(a, 0.0))
+    if op is Opcode.EX2:
+        return lambda a: np.exp2(np.clip(a, -1000, 1000))
+    if op is Opcode.LG2:
+        return lambda a: np.log2(np.where(a > 0, a, 1.0))
+    raise ExecutionError(f"unimplemented opcode {op}")
+
+
+def _source_casts(inst: Instruction) -> List[Callable[[np.ndarray], np.ndarray]]:
+    """Per-source casts of an ALU/SFU instruction: every source goes to
+    the instruction's lane type, then bitwise ops take integer lanes and
+    transcendental ops float lanes (``selp``'s selector goes to bool)."""
+    base = _to_float if inst.dtype.is_float else _to_int
+    op = inst.opcode
+    if op is Opcode.SELP:
+        return [base, base, _to_bool]
+    cast = base
+    if op in _INT_OPS and base is _to_float:
+        cast = _float_to_int
+    elif op in _FLOAT_OPS:
+        cast = _to_float if base is _to_float else _int_to_float
+    return [cast] * len(inst.srcs)
+
+
 class FunctionalEngine:
-    """Executes instructions with architectural semantics."""
+    """Executes instructions with architectural semantics.
+
+    Each instruction is compiled once per engine, the first time its PC
+    executes, into a *thunk*: a closure with the opcode's semantics,
+    its operand readers, its destination and its guard handling already
+    resolved.  :meth:`execute_instruction` is then a table lookup and
+    one call.
+    """
 
     def __init__(self, ctx: ExecutionContext, tracer: Optional[Tracer] = None):
         self.ctx = ctx
@@ -118,103 +256,25 @@ class FunctionalEngine:
         #: true once any global atomic has run (DARSIE's global
         #: communication event, Section 4.4).
         self.global_communication_seen = False
-        # Operand overrides for the instruction currently executing.
-        # DARSIE follower warps read renamed registers: the timing core
-        # captures those values in fetch order and passes them here so
-        # evaluation bypasses the warp's (stale) private register.
-        self._reg_overrides: Dict[str, np.ndarray] = {}
-        self._pred_overrides: Dict[str, np.ndarray] = {}
-        # Read-only 32-lane arrays of Immediate/Param operands, built on
-        # first use: id(operand) -> (operand, array).  Keyed by identity,
-        # not equality: the frozen operand dataclasses make Immediate(1)
-        # == Immediate(1.0) and Immediate(0.0) == Immediate(-0.0), which
-        # differ in dtype or sign.  Holding the operand keeps its id
-        # from being reused by another object.
-        self._constants: Dict[int, Tuple[object, np.ndarray]] = {}
+        #: compiled instructions: pc -> (instruction, thunk).  The
+        #: instruction is kept to recognise a different one at a known PC
+        #: (a transformed program run on the same engine).
+        self._code: Dict[int, Tuple[Instruction, Thunk]] = {}
 
     def __getstate__(self):
-        # The constant cache is keyed by id(), which a pickle round trip
-        # (a simulation checkpoint) does not preserve: rebuild it instead.
+        # Closures do not pickle (a simulation checkpoint): drop the
+        # compiled table; it rebuilds PC by PC on first use after restore.
         state = dict(self.__dict__)
-        state["_constants"] = {}
+        state["_code"] = {}
         return state
-
-    # -- operand evaluation ------------------------------------------------
-
-    def _eval(self, operand, warp: WarpState, tb: ThreadBlockState) -> np.ndarray:
-        n = self.ctx.launch.warp_size
-        if isinstance(operand, Register):
-            override = self._reg_overrides.get(operand.name)
-            if override is not None:
-                return override
-            return warp.registers.read(operand.name)
-        if isinstance(operand, Predicate):
-            override = self._pred_overrides.get(operand.name)
-            if override is not None:
-                return override
-            return warp.registers.read_pred(operand.name)
-        cached = self._constants.get(id(operand))
-        if cached is not None:
-            return cached[1]
-        if isinstance(operand, Immediate):
-            dtype = _FLOAT if operand.is_float else _INT
-            return self._constant(operand, np.full(n, operand.value, dtype=dtype))
-        if isinstance(operand, Param):
-            value = self.ctx.params[operand.name]
-            dtype = _FLOAT if isinstance(value, float) else _INT
-            return self._constant(operand, np.full(n, value, dtype=dtype))
-        if isinstance(operand, Special):
-            return self._eval_special(operand.name, warp, tb)
-        raise ExecutionError(f"cannot evaluate operand {operand!r}")
-
-    def _constant(self, operand, array: np.ndarray) -> np.ndarray:
-        array.setflags(write=False)  # an in-place use raises, not corrupts
-        self._constants[id(operand)] = (operand, array)
-        return array
-
-    def _eval_special(self, name: str, warp: WarpState, tb: ThreadBlockState) -> np.ndarray:
-        n = self.ctx.launch.warp_size
-        layout = self.ctx.layout
-        if name.startswith("tid."):
-            return layout.tid(warp.warp_id, name[-1])
-        if name.startswith("ntid."):
-            return np.full(n, getattr(self.ctx.launch.block_dim, name[-1]), dtype=_INT)
-        if name.startswith("ctaid."):
-            return np.full(n, getattr(tb.block_idx, name[-1]), dtype=_INT)
-        if name.startswith("nctaid."):
-            return np.full(n, getattr(self.ctx.launch.grid_dim, name[-1]), dtype=_INT)
-        if name == "laneid":
-            return np.arange(n, dtype=_INT)
-        if name == "warpid":
-            return np.full(n, warp.warp_id, dtype=_INT)
-        if name == "smem_base":
-            return np.zeros(n, dtype=_INT)
-        raise ExecutionError(f"unhandled special %{name}")
-
-    def _address(self, mem: MemRef, warp: WarpState, tb: ThreadBlockState) -> np.ndarray:
-        addr = _to_int(self._eval(mem.base, warp, tb)).copy()
-        if mem.index is not None:
-            addr += _to_int(self._eval(mem.index, warp, tb))
-        if mem.offset:
-            addr += mem.offset
-        return addr
-
-    def _space(self, mem: MemRef, tb: ThreadBlockState):
-        if mem.space is MemSpace.GLOBAL:
-            return self.ctx.memory
-        if mem.space is MemSpace.SHARED:
-            return tb.shared
-        raise ExecutionError(f"cannot load/store space {mem.space}")
-
-    # -- instruction semantics ----------------------------------------------
 
     def execute_instruction(
         self,
         tb: ThreadBlockState,
         warp: WarpState,
         inst: Instruction,
-        reg_overrides: Optional[Dict[str, np.ndarray]] = None,
-        pred_overrides: Optional[Dict[str, np.ndarray]] = None,
+        reg_overrides: Overrides = None,
+        pred_overrides: Overrides = None,
     ) -> StepResult:
         """Execute ``inst`` for ``warp`` and advance its PC.
 
@@ -225,218 +285,324 @@ class FunctionalEngine:
         """
         if warp.exited:
             raise ExecutionError("executing on an exited warp")
-        self._reg_overrides = reg_overrides or {}
-        self._pred_overrides = pred_overrides or {}
-        active = warp.active_mask
-        if inst.guard is not None:
-            override = self._pred_overrides.get(inst.guard.name)
-            guard = override if override is not None else warp.registers.read_pred(inst.guard.name)
-            if inst.guard_negated:
-                guard = ~guard
-            exec_mask = active & guard
-        else:
-            exec_mask = active.copy()
-
+        code = self._code.get(inst.pc)
+        if code is None or code[0] is not inst:
+            code = self._compile(inst)
         self.instructions_executed += 1
-        result = StepResult(inst=inst, warp=warp, exec_mask=exec_mask)
-        op = inst.opcode
-
-        if op is Opcode.BRA:
-            self._execute_branch(tb, warp, inst, exec_mask, result)
-        elif op is Opcode.EXIT:
-            self._execute_exit(warp, result)
-        elif op is Opcode.BAR:
-            warp.at_barrier = True
-            result.hit_barrier = True
-            self._advance(warp)
-        elif op is Opcode.LD:
-            self._execute_load(tb, warp, inst, exec_mask, result)
-            self._advance(warp)
-        elif op is Opcode.ST:
-            self._execute_store(tb, warp, inst, exec_mask, result)
-            self._advance(warp)
-        elif op is Opcode.ATOM:
-            self._execute_atomic(tb, warp, inst, exec_mask, result)
-            self._advance(warp)
-        elif op is Opcode.NOP:
-            self._advance(warp)
-        elif op is Opcode.SETP:
-            value = self._alu(inst, warp, tb)
-            warp.registers.write_pred(inst.dest_predicate().name, value, exec_mask)
-            result.dest_value = value
-            self._advance(warp)
-        else:
-            value = self._alu(inst, warp, tb)
-            warp.registers.write(inst.dest_register().name, value, exec_mask)
-            result.dest_value = value
-            self._advance(warp)
-
-        self._reg_overrides = {}
-        self._pred_overrides = {}
+        result = code[1](tb, warp, reg_overrides, pred_overrides)
         if self.tracer is not None:
             self.tracer.record(tb, warp, result)
         return result
 
-    def _advance(self, warp: WarpState) -> None:
-        warp.pc += INSTRUCTION_BYTES
-        warp.maybe_reconverge()
+    # -- compilation ---------------------------------------------------------
 
-    def _execute_branch(
-        self,
-        tb: ThreadBlockState,
-        warp: WarpState,
-        inst: Instruction,
-        exec_mask: np.ndarray,
-        result: StepResult,
-    ) -> None:
-        active = warp.active_mask
-        taken = exec_mask
-        result.branch_taken_mask = taken.copy()
-        fallthrough = inst.pc + INSTRUCTION_BYTES
-        assert inst.target_pc is not None
-        if not taken.any():
-            warp.pc = fallthrough
-        elif bool(np.array_equal(taken, active)):
-            warp.pc = inst.target_pc
-        else:
-            rpc = self.ctx.program.reconvergence_pc(inst.pc)
-            warp.diverge(taken, fallthrough, inst.target_pc, rpc)
-        warp.maybe_reconverge()
+    def _compile(self, inst: Instruction) -> Tuple[Instruction, Thunk]:
+        body = self._body(inst)
+        guard = inst.guard.name if inst.guard is not None else None
+        negated = inst.guard_negated
 
-    def _execute_exit(self, warp: WarpState, result: StepResult) -> None:
-        if len(warp.stack) > 1:
-            # Divergent lanes finished; resume the other paths.
-            warp.stack.pop()
-            warp.invalidate_divergence()
-        else:
-            warp.retire()
-            result.retired = True
+        def thunk(tb, warp, regs, preds):
+            active = warp.stack[-1].active_mask
+            if guard is None:
+                exec_mask = active.copy()
+            else:
+                value = preds.get(guard) if preds else None
+                if value is None:
+                    value = warp.registers.read_pred(guard)
+                exec_mask = active & ~value if negated else active & value
+            # Masks are bool vectors: a zero byte is a clear lane.
+            if b"\x00" not in exec_mask.tobytes():
+                full, write_mask = True, None
+            else:
+                # A divergent stack's top mask is a strict subset of the
+                # warp's lanes, and a converged one is all of them, so
+                # only a guard on a converged warp needs the reduction.
+                full = not warp.has_simd_divergence and (
+                    guard is None or not (warp.hw_mask & ~exec_mask).any()
+                )
+                write_mask = exec_mask
+            result = StepResult(inst, warp, exec_mask, full)
+            body(tb, warp, result, write_mask, regs, preds)
+            return result
 
-    def _execute_load(self, tb, warp, inst, exec_mask, result) -> None:
-        space = self._space(inst.mem, tb)
-        addr = self._address(inst.mem, warp, tb)
-        result.mem_addresses = np.where(exec_mask, addr, 0)
-        safe_addr = np.where(exec_mask, addr, 0)
-        values = space.load(safe_addr, as_float=inst.dtype.is_float)
-        warp.registers.write(inst.dest_register().name, values, exec_mask)
-        result.dest_value = values
+        code = self._code[inst.pc] = (inst, thunk)
+        return code
 
-    def _execute_store(self, tb, warp, inst, exec_mask, result) -> None:
-        space = self._space(inst.mem, tb)
-        addr = self._address(inst.mem, warp, tb)
-        result.mem_addresses = np.where(exec_mask, addr, 0)
-        values = self._eval(inst.srcs[0], warp, tb)
-        values = _to_float(values) if inst.dtype.is_float else _to_int(values)
-        if exec_mask.all():
-            space.store(addr, values)
-        elif exec_mask.any():
-            space.store(addr[exec_mask], values[exec_mask])
-
-    def _execute_atomic(self, tb, warp, inst, exec_mask, result) -> None:
-        if inst.mem.space is MemSpace.GLOBAL:
-            self.global_communication_seen = True
-        space = self._space(inst.mem, tb)
-        addr = self._address(inst.mem, warp, tb)
-        result.mem_addresses = np.where(exec_mask, addr, 0)
-        operand = self._eval(inst.srcs[0], warp, tb)
-        old = np.zeros(self.ctx.launch.warp_size, dtype=_FLOAT)
-        for lane in np.flatnonzero(exec_mask):
-            a = np.asarray([addr[lane]])
-            old[lane] = space.load(a, as_float=True)[0]
-            space.store(a, np.asarray([old[lane] + float(operand[lane])]))
-        out = old if inst.dtype.is_float else old.astype(_INT)
-        warp.registers.write(inst.dest_register().name, out, exec_mask)
-        result.dest_value = out
-
-    # -- ALU / SFU ops ------------------------------------------------------
-
-    def _alu(self, inst: Instruction, warp: WarpState, tb: ThreadBlockState) -> np.ndarray:
+    def _body(self, inst: Instruction) -> Body:
         op = inst.opcode
-        if op is Opcode.SELP:
-            a = self._eval(inst.srcs[0], warp, tb)
-            b = self._eval(inst.srcs[1], warp, tb)
-            p = self._eval(inst.srcs[2], warp, tb).astype(bool)
-            if inst.dtype.is_float:
-                return np.where(p, _to_float(a), _to_float(b))
-            return np.where(p, _to_int(a), _to_int(b))
+        if op is Opcode.BRA:
+            return self._branch(inst)
+        if op is Opcode.EXIT:
+            return _exit
+        if op is Opcode.BAR:
+            return _barrier
+        if op is Opcode.NOP:
+            return _nop
+        if op is Opcode.LD:
+            return self._load(inst)
+        if op is Opcode.ST:
+            return self._store(inst)
+        if op is Opcode.ATOM:
+            return self._atomic(inst)
+        return self._alu(inst)
 
-        cast = _to_float if inst.dtype.is_float else _to_int
-        args = [cast(self._eval(s, warp, tb)) for s in inst.srcs]
+    # -- operand readers -----------------------------------------------------
 
-        if op in (Opcode.MOV, Opcode.CVT):
-            return args[0].copy()
-        if op is Opcode.ADD:
-            return args[0] + args[1]
-        if op is Opcode.SUB:
-            return args[0] - args[1]
-        if op is Opcode.MUL:
-            return args[0] * args[1]
-        if op is Opcode.MAD:
-            return args[0] * args[1] + args[2]
-        if op is Opcode.MIN:
-            return np.minimum(args[0], args[1])
-        if op is Opcode.MAX:
-            return np.maximum(args[0], args[1])
-        if op is Opcode.ABS:
-            return np.abs(args[0])
-        if op is Opcode.NEG:
-            return -args[0]
-        if op is Opcode.AND:
-            return _to_int(args[0]) & _to_int(args[1])
-        if op is Opcode.OR:
-            return _to_int(args[0]) | _to_int(args[1])
-        if op is Opcode.XOR:
-            return _to_int(args[0]) ^ _to_int(args[1])
-        if op is Opcode.NOT:
-            return ~_to_int(args[0])
-        if op is Opcode.SHL:
-            return _to_int(args[0]) << np.clip(_to_int(args[1]), 0, 63)
-        if op is Opcode.SHR:
-            return _to_int(args[0]) >> np.clip(_to_int(args[1]), 0, 63)
-        if op is Opcode.DIV:
-            return self._safe_div(args[0], args[1], inst.dtype)
-        if op is Opcode.REM:
-            # C-style remainder: a - trunc(a/b)*b (also for floats).
-            quot = np.trunc(self._safe_div(args[0], args[1], DType.F32))
-            if inst.dtype.is_float:
-                return args[0] - quot * args[1]
-            return args[0] - quot.astype(_INT) * args[1]
-        if op is Opcode.RCP:
-            return self._safe_div(np.ones_like(args[0], dtype=_FLOAT), _to_float(args[0]), DType.F32)
-        if op is Opcode.SQRT:
-            return np.sqrt(np.maximum(_to_float(args[0]), 0.0))
-        if op is Opcode.EX2:
-            return np.exp2(np.clip(_to_float(args[0]), -1000, 1000))
-        if op is Opcode.LG2:
-            x = _to_float(args[0])
-            return np.log2(np.where(x > 0, x, 1.0))
-        if op is Opcode.SIN:
-            return np.sin(_to_float(args[0]))
-        if op is Opcode.COS:
-            return np.cos(_to_float(args[0]))
-        if op is Opcode.SETP:
-            return self._compare(inst.cmp, args[0], args[1])
-        raise ExecutionError(f"unimplemented opcode {op}")
+    def _reader(self, operand, cast: Optional[Callable] = None) -> Reader:
+        """A reader of ``operand``'s lanes, passed through ``cast``.
 
-    @staticmethod
-    def _safe_div(a: np.ndarray, b: np.ndarray, dtype: DType) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(b != 0, _to_float(a) / np.where(b != 0, _to_float(b), 1.0), 0.0)
-        if dtype.is_float:
-            return out
-        return np.trunc(out).astype(_INT)
+        Constants (immediates, parameters and launch-wide specials) are
+        cast once here into a read-only array; registers honour the
+        DARSIE follower overrides.
+        """
+        keep = _CAST_KEEPS.get(cast)
+        if isinstance(operand, (Register, Predicate)):
+            name = operand.name
+            is_pred = isinstance(operand, Predicate)
 
-    @staticmethod
-    def _compare(cmp: CmpOp, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        table = {
-            CmpOp.EQ: np.equal,
-            CmpOp.NE: np.not_equal,
-            CmpOp.LT: np.less,
-            CmpOp.LE: np.less_equal,
-            CmpOp.GT: np.greater,
-            CmpOp.GE: np.greater_equal,
-        }
-        return table[cmp](a, b)
+            def read(warp, tb, regs, preds):
+                overrides = preds if is_pred else regs
+                value = overrides.get(name) if overrides else None
+                if value is None:
+                    registers = warp.registers
+                    value = registers.read_pred(name) if is_pred else registers.read(name)
+                if cast is None or value.dtype is keep:
+                    return value
+                return cast(value)
+
+            return read
+        constant = self._constant(operand)
+        if constant is not None:
+            if cast is not None:
+                constant = cast(constant)
+            constant = _read_only(constant)
+            return lambda warp, tb, regs, preds: constant
+        if isinstance(operand, Special):
+            special = self._special(operand.name)
+
+            def read_special(warp, tb, regs, preds):
+                value = special(warp, tb)
+                if cast is None or value.dtype is keep:
+                    return value
+                return cast(value)
+
+            return read_special
+        raise ExecutionError(f"cannot evaluate operand {operand!r}")
+
+    def _constant(self, operand) -> Optional[np.ndarray]:
+        """A fresh array of an operand whose lanes are fixed for the
+        whole launch, or None for a per-warp or per-TB operand."""
+        n = self.ctx.launch.warp_size
+        if isinstance(operand, Immediate):
+            return np.full(n, operand.value, dtype=_FLOAT if operand.is_float else _INT)
+        if isinstance(operand, Param):
+            value = self.ctx.params[operand.name]
+            return np.full(n, value, dtype=_FLOAT if isinstance(value, float) else _INT)
+        if not isinstance(operand, Special):
+            return None
+        name = operand.name
+        launch = self.ctx.launch
+        if name.startswith("ntid."):
+            return np.full(n, getattr(launch.block_dim, name[-1]), dtype=_INT)
+        if name.startswith("nctaid."):
+            return np.full(n, getattr(launch.grid_dim, name[-1]), dtype=_INT)
+        if name == "laneid":
+            return np.arange(n, dtype=_INT)
+        if name == "smem_base":
+            return np.zeros(n, dtype=_INT)
+        return None
+
+    def _special(self, name: str) -> Callable[[WarpState, ThreadBlockState], np.ndarray]:
+        n = self.ctx.launch.warp_size
+        layout = self.ctx.layout
+        axis = name[-1]
+        if name.startswith("tid."):
+            return lambda warp, tb: layout.tid(warp.warp_id, axis)
+        if name.startswith("ctaid."):
+            return lambda warp, tb: np.full(n, getattr(tb.block_idx, axis), dtype=_INT)
+        if name == "warpid":
+            return lambda warp, tb: np.full(n, warp.warp_id, dtype=_INT)
+        raise ExecutionError(f"unhandled special %{name}")
+
+    def _address(self, mem: MemRef) -> Reader:
+        base = self._reader(mem.base, _to_int)
+        index = self._reader(mem.index, _to_int) if mem.index is not None else None
+        offset = mem.offset
+
+        def address(warp, tb, regs, preds):
+            addr = base(warp, tb, regs, preds).copy()
+            if index is not None:
+                addr += index(warp, tb, regs, preds)
+            if offset:
+                addr += offset
+            return addr
+
+        return address
+
+    def _space(self, mem: MemRef) -> Callable[[ThreadBlockState], object]:
+        if mem.space is MemSpace.GLOBAL:
+            memory = self.ctx.memory
+            return lambda tb: memory
+        if mem.space is MemSpace.SHARED:
+            return lambda tb: tb.shared
+        raise ExecutionError(f"cannot load/store space {mem.space}")
+
+    # -- instruction bodies --------------------------------------------------
+
+    def _branch(self, inst: Instruction) -> Body:
+        assert inst.target_pc is not None
+        target = inst.target_pc
+        fallthrough = inst.pc + INSTRUCTION_BYTES
+        program = self.ctx.program
+
+        def branch(tb, warp, result, write_mask, regs, preds):
+            taken = result.exec_mask
+            result.branch_taken_mask = taken.copy()
+            top = warp.stack[-1]
+            if write_mask is None:
+                top.pc = target
+            else:
+                lanes = taken.tobytes()
+                if b"\x01" not in lanes:
+                    top.pc = fallthrough
+                elif lanes == top.active_mask.tobytes():
+                    top.pc = target
+                else:
+                    warp.diverge(taken, fallthrough, target, program.reconvergence_pc(inst.pc))
+            if len(warp.stack) > 1:
+                warp.maybe_reconverge()
+
+        return branch
+
+    def _load(self, inst: Instruction) -> Body:
+        space_of = self._space(inst.mem)
+        address = self._address(inst.mem)
+        as_float = inst.dtype.is_float
+        dest = inst.dst_reg.name
+
+        def load(tb, warp, result, write_mask, regs, preds):
+            space = space_of(tb)
+            addr = address(warp, tb, regs, preds)
+            if write_mask is not None:
+                addr = np.where(write_mask, addr, 0)
+            result.mem_addresses = addr
+            values = space.load(addr, as_float=as_float)
+            warp.registers.write(dest, values, write_mask)
+            result.dest_value = values
+            _advance(warp)
+
+        return load
+
+    def _store(self, inst: Instruction) -> Body:
+        space_of = self._space(inst.mem)
+        address = self._address(inst.mem)
+        source = self._reader(inst.srcs[0], _to_float if inst.dtype.is_float else _to_int)
+
+        def store(tb, warp, result, write_mask, regs, preds):
+            space = space_of(tb)
+            addr = address(warp, tb, regs, preds)
+            values = source(warp, tb, regs, preds)
+            if write_mask is None:
+                result.mem_addresses = addr
+                space.store(addr, values)
+            else:
+                result.mem_addresses = np.where(write_mask, addr, 0)
+                if b"\x01" in write_mask.tobytes():
+                    space.store(addr[write_mask], values[write_mask])
+            _advance(warp)
+
+        return store
+
+    def _atomic(self, inst: Instruction) -> Body:
+        communicates = inst.mem.space is MemSpace.GLOBAL
+        space_of = self._space(inst.mem)
+        address = self._address(inst.mem)
+        operand_of = self._reader(inst.srcs[0])
+        n = self.ctx.launch.warp_size
+        as_float = inst.dtype.is_float
+        dest = inst.dst_reg.name
+
+        def atomic(tb, warp, result, write_mask, regs, preds):
+            if communicates:
+                self.global_communication_seen = True
+            space = space_of(tb)
+            addr = address(warp, tb, regs, preds)
+            exec_mask = result.exec_mask
+            result.mem_addresses = np.where(exec_mask, addr, 0)
+            operand = operand_of(warp, tb, regs, preds)
+            old = np.zeros(n, dtype=_FLOAT)
+            for lane in np.flatnonzero(exec_mask):
+                a = np.asarray([addr[lane]])
+                old[lane] = space.load(a, as_float=True)[0]
+                space.store(a, np.asarray([old[lane] + float(operand[lane])]))
+            out = old if as_float else old.astype(_INT)
+            warp.registers.write(dest, out, write_mask)
+            result.dest_value = out
+            _advance(warp)
+
+        return atomic
+
+    def _alu(self, inst: Instruction) -> Body:
+        fn = _semantics(inst)
+        readers = [self._reader(s, c) for s, c in zip(inst.srcs, _source_casts(inst))]
+        is_setp = inst.opcode is Opcode.SETP
+        dest = inst.dst_pred.name if is_setp else inst.dst_reg.name
+        if len(readers) == 1:
+            (r0,) = readers
+
+            def compute(warp, tb, regs, preds):
+                return fn(r0(warp, tb, regs, preds))
+        elif len(readers) == 2:
+            r0, r1 = readers
+
+            def compute(warp, tb, regs, preds):
+                return fn(r0(warp, tb, regs, preds), r1(warp, tb, regs, preds))
+        else:
+            r0, r1, r2 = readers
+
+            def compute(warp, tb, regs, preds):
+                return fn(
+                    r0(warp, tb, regs, preds),
+                    r1(warp, tb, regs, preds),
+                    r2(warp, tb, regs, preds),
+                )
+
+        def alu(tb, warp, result, write_mask, regs, preds):
+            value = compute(warp, tb, regs, preds)
+            if is_setp:
+                warp.registers.write_pred(dest, value, write_mask)
+            else:
+                warp.registers.write(dest, value, write_mask)
+            result.dest_value = value
+            _advance(warp)
+
+        return alu
+
+
+def _advance(warp: WarpState) -> None:
+    warp.stack[-1].pc += INSTRUCTION_BYTES
+    if len(warp.stack) > 1:
+        warp.maybe_reconverge()
+
+
+def _exit(tb, warp, result, write_mask, regs, preds) -> None:
+    if len(warp.stack) > 1:
+        # Divergent lanes finished; resume the other paths.
+        warp.stack.pop()
+        warp.invalidate_divergence()
+    else:
+        warp.retire()
+        result.retired = True
+
+
+def _barrier(tb, warp, result, write_mask, regs, preds) -> None:
+    warp.at_barrier = True
+    result.hit_barrier = True
+    _advance(warp)
+
+
+def _nop(tb, warp, result, write_mask, regs, preds) -> None:
+    _advance(warp)
 
 
 def run_functional(
@@ -474,7 +640,7 @@ def run_functional(
             for warp in tb.warps:
                 if warp.exited or warp.at_barrier:
                     continue
-                inst = program.at(warp.pc)
+                inst = program.at(warp.stack[-1].pc)
                 engine.execute_instruction(tb, warp, inst)
                 progressed = True
                 steps += 1

@@ -53,7 +53,8 @@ class ValueSummary:
         if np.all(values == first):
             return cls(kind=UNIFORM, base=float(first))
         diffs = np.diff(values)
-        if np.all(diffs == diffs[0]):
+        # (A lone lane that is not uniform is NaN: unstructured.)
+        if diffs.size and np.all(diffs == diffs[0]):
             return cls(kind=AFFINE, base=float(first), stride=float(diffs[0]))
         return cls(kind=UNSTRUCTURED, digest=zlib.crc32(np.ascontiguousarray(values).tobytes()))
 
@@ -93,43 +94,131 @@ def _opclass(inst: Instruction) -> str:
     return "alu"
 
 
+_NO_VALUE = ValueSummary.none()
+
+
+def summarize_rows(rows: np.ndarray, interned: Dict[tuple, ValueSummary]) -> List[ValueSummary]:
+    """:meth:`ValueSummary.of` of every row of an ``(N, lanes)`` array,
+    with one vectorized pass per test instead of one per row.
+
+    Bool rows are promoted to int64 first, as in ``of``; the per-row
+    comparisons, the wrapping int64 differences and the ``float()``
+    conversions are the same element operations, so each summary equals
+    the one ``of`` gives for that row, down to its digest bytes.
+    Summaries are shared through ``interned``, keyed by the bit patterns
+    of base and stride so ``-0.0`` and ``0.0`` stay apart.
+    """
+    if rows.dtype == bool:
+        rows = rows.astype(np.int64)
+    first = rows[:, 0]
+    uniform = (rows == first[:, None]).all(axis=1)
+    diffs = np.diff(rows, axis=1)
+    bases = first.astype(np.float64)
+    if diffs.shape[1]:
+        affine = (diffs == diffs[:, :1]).all(axis=1)
+        strides = diffs[:, 0].astype(np.float64)
+    else:
+        affine = uniform
+        strides = np.zeros(len(rows))
+    base_bits = bases.view(np.int64).tolist()
+    stride_bits = strides.view(np.int64).tolist()
+    out = []
+    for i, (is_uniform, is_affine) in enumerate(zip(uniform.tolist(), affine.tolist())):
+        if is_uniform:
+            key: tuple = (UNIFORM, base_bits[i])
+        elif is_affine:
+            key = (AFFINE, base_bits[i], stride_bits[i])
+        else:
+            key = (UNSTRUCTURED, zlib.crc32(rows[i].tobytes()))
+        summary = interned.get(key)
+        if summary is None:
+            if is_uniform:
+                summary = ValueSummary(UNIFORM, float(bases[i]))
+            elif is_affine:
+                summary = ValueSummary(AFFINE, float(bases[i]), float(strides[i]))
+            else:
+                summary = ValueSummary(UNSTRUCTURED, digest=key[1])
+            interned[key] = summary
+        out.append(summary)
+    return out
+
+
+#: most destination vectors buffered before a flush, so the buffer of a
+#: long TB stays small
+_FLUSH_ROWS = 1024
+
+
 class Tracer:
-    """Records executed instructions into an :class:`ExecutionTrace`."""
+    """Records executed instructions into an :class:`ExecutionTrace`.
+
+    A record's value summary is filled in bulk: :meth:`record` buffers
+    the destination vector, and :meth:`flush` summarises the buffer one
+    ``(N, lanes)`` array per dtype.  The buffer is flushed at every TB
+    boundary, whenever it holds ``_FLUSH_ROWS`` vectors, and whenever
+    :attr:`trace` is read, so a reader never sees a pending summary.
+    """
 
     def __init__(self) -> None:
-        self.trace = ExecutionTrace()
+        self._trace = ExecutionTrace()
         self._occurrence: Dict[Tuple[int, int, int], int] = {}
+        #: pc -> (instruction, opclass)
+        self._opclass: Dict[int, Tuple[Instruction, str]] = {}
+        #: records awaiting a summary and their live-lane vectors
+        self._pending: List[DynamicInstruction] = []
+        self._values: List[np.ndarray] = []
+        #: one shared object per distinct summary; see summarize_rows
+        self._summaries: Dict[tuple, ValueSummary] = {}
+
+    @property
+    def trace(self) -> "ExecutionTrace":
+        self.flush()
+        return self._trace
 
     def begin_block(self, tb) -> None:
-        self.trace.warps_per_block = max(self.trace.warps_per_block, len(tb.warps))
-        self.trace.num_blocks = max(self.trace.num_blocks, tb.tb_index + 1)
+        self.flush()
+        trace = self._trace
+        trace.warps_per_block = max(trace.warps_per_block, len(tb.warps))
+        trace.num_blocks = max(trace.num_blocks, tb.tb_index + 1)
 
     def record(self, tb, warp, result) -> None:
-        key = (tb.tb_index, warp.warp_id, result.inst.pc)
+        inst = result.inst
+        pc = inst.pc
+        key = (tb.tb_index, warp.warp_id, pc)
         occ = self._occurrence.get(key, 0)
         self._occurrence[key] = occ + 1
-        if result.dest_value is not None:
-            values = np.asarray(result.dest_value)
+        opclass = self._opclass.get(pc)
+        if opclass is None or opclass[0] is not inst:
+            opclass = self._opclass[pc] = (inst, _opclass(inst))
+        rec = DynamicInstruction(
+            tb.tb_index, warp.warp_id, pc, occ, opclass[1], _NO_VALUE, not result.full_warp
+        )
+        self._trace.records.append(rec)
+        values = result.dest_value
+        if values is not None:
             # A partial warp's dead lanes hold whatever the ALU computed
             # over stale inputs; they are never architecturally written,
             # so they must not break uniformity (or fabricate it).
-            if values.shape == warp.hw_mask.shape and not warp.hw_mask.all():
-                values = values[warp.hw_mask]
-            summary = ValueSummary.of(values)
-        else:
-            summary = ValueSummary.none()
-        divergent = bool(np.any(warp.hw_mask & ~result.exec_mask))
-        self.trace.records.append(
-            DynamicInstruction(
-                tb_index=tb.tb_index,
-                warp_id=warp.warp_id,
-                pc=result.inst.pc,
-                occurrence=occ,
-                opclass=_opclass(result.inst),
-                summary=summary,
-                divergent=divergent,
-            )
-        )
+            hw_mask = warp.hw_mask
+            if b"\x00" in hw_mask.tobytes() and values.shape == hw_mask.shape:
+                values = values[hw_mask]
+            self._pending.append(rec)
+            self._values.append(values)
+            if len(self._values) >= _FLUSH_ROWS:
+                self.flush()
+
+    def flush(self) -> None:
+        """Summarise every buffered destination vector."""
+        pending, values = self._pending, self._values
+        if not pending:
+            return
+        self._pending, self._values = [], []
+        groups: Dict[Tuple[np.dtype, int], List[int]] = {}
+        for i, v in enumerate(values):
+            groups.setdefault((v.dtype, len(v)), []).append(i)
+        for rows in groups.values():
+            summaries = summarize_rows(np.stack([values[i] for i in rows]), self._summaries)
+            for i, summary in zip(rows, summaries):
+                pending[i].summary = summary
 
 
 class ExecutionTrace:

@@ -33,8 +33,10 @@ CHECKPOINT_MAGIC = b"REPROCKPT\n"
 #: not expected to round-trip across code revisions (2: the issue stage
 #: keeps ready bitmasks and warps/I-buffers carry dirty-set links; 3: the
 #: pipeline keeps the skip engine's ``skip_watch`` mask, warps carry a
-#: skip bit and the DARSIE frontend a bit -> warp map)
-CHECKPOINT_VERSION = 3
+#: skip bit and the DARSIE frontend a bit -> warp map; 4: the functional
+#: engine keeps a per-PC table of compiled instructions, dropped from the
+#: pickle, and step results carry ``full_warp``)
+CHECKPOINT_VERSION = 4
 
 _HEADER = struct.Struct(">I")
 _DIGEST_SIZE = hashlib.sha256().digest_size

@@ -204,18 +204,19 @@ class TestCheckpointContainer:
         with pytest.raises(CheckpointError, match="version"):
             read_checkpoint(paused)
 
-    @pytest.mark.parametrize("old", [1, 2])
+    @pytest.mark.parametrize("old", [1, 2, 3])
     def test_previous_format_version_is_refused(self, paused, old):
         # Version 1 pickled an issue stage that scanned per-scheduler
         # warp lists, version 2 a pipeline without the skip engine's
-        # watch mask; restoring either into the current code would leave
+        # watch mask, version 3 step results without ``full_warp``;
+        # restoring any of them into the current code would leave
         # fields missing, so the header alone must refuse them.
-        assert CHECKPOINT_VERSION == 3
+        assert CHECKPOINT_VERSION == 4
         blob = bytearray(open(paused, "rb").read())
         blob[len(CHECKPOINT_MAGIC):len(CHECKPOINT_MAGIC) + 4] = old.to_bytes(4, "big")
         with open(paused, "wb") as fh:
             fh.write(bytes(blob))
-        with pytest.raises(CheckpointError, match=f"version {old}, expected 3"):
+        with pytest.raises(CheckpointError, match=f"version {old}, expected 4"):
             read_checkpoint(paused)
 
     def test_payload_bitrot_fails_checksum(self, paused):

@@ -1,4 +1,4 @@
-"""The wake-driven issue stage and the per-instruction constant cache.
+"""The wake-driven issue stage and the compiled instructions' constants.
 
 The issue stage keeps per-scheduler ``cand``/``ready`` bitmasks and
 re-derives a warp's bits only when the warp was marked dirty.  These
@@ -203,6 +203,8 @@ CONST_SRC = """
 
 
 class TestConstantCache:
+    """Constants are built once per PC, into the compiled table."""
+
     def _engine(self):
         prog = assemble(CONST_SRC)
         ctx = ExecutionContext(
@@ -214,6 +216,9 @@ class TestConstantCache:
         tb = ThreadBlockState(ctx, 0)
         return prog, FunctionalEngine(ctx), tb, tb.warps[0]
 
+    def _run(self, engine, tb, warp, insts):
+        return {inst.pc: engine.execute_instruction(tb, warp, inst) for inst in insts}
+
     def test_equal_immediates_keep_their_own_dtype_and_sign(self):
         prog, engine, tb, warp = self._engine()
         one, one_f, zero, neg_zero = (
@@ -221,30 +226,44 @@ class TestConstantCache:
         )
         # The premise: equal-comparing operands that must not share a value.
         assert one == one_f and zero == neg_zero
-        for _ in range(2):  # first use builds, second use hits the cache
-            assert engine._eval(one, warp, tb).dtype == np.int64
-            assert engine._eval(one_f, warp, tb).dtype == np.float64
-            assert not np.signbit(engine._eval(zero, warp, tb)).any()
-            assert np.signbit(engine._eval(neg_zero, warp, tb)).all()
-        assert engine._eval(one, warp, tb) is engine._eval(one, warp, tb)
-
-        for inst in prog.instructions:
-            engine.execute_instruction(tb, warp, inst)
-        assert warp.registers.read("i").dtype == np.int64
-        assert not np.signbit(warp.registers.read("pos")).any()
-        assert np.signbit(warp.registers.read("neg")).all()
+        body = prog.instructions[:-1]
+        for _ in range(2):  # first run compiles, the second reuses the table
+            warp.stack[-1].pc = 0
+            results = self._run(engine, tb, warp, body)
+            assert [engine._code[inst.pc][0] for inst in body] == body
+            assert results[0].dest_value.dtype == np.int64
+            assert results[8].dest_value.dtype == np.float64
+            assert warp.registers.read("i").dtype == np.int64
+            assert not np.signbit(warp.registers.read("pos")).any()
+            assert np.signbit(warp.registers.read("neg")).all()
+        assert len(engine._code) == len(body)
 
     def test_cached_constant_rejects_in_place_write(self):
         prog, engine, tb, warp = self._engine()
-        arr = engine._eval(prog.instructions[0].srcs[0], warp, tb)
+        read = engine._reader(prog.instructions[0].srcs[0])
+        arr = read(warp, tb, None, None)
+        assert read(warp, tb, None, None) is arr  # built once, not per read
         with pytest.raises(ValueError):
             arr += 1
         with pytest.raises(ValueError):
             arr[0] = 7
-        assert (engine._eval(prog.instructions[0].srcs[0], warp, tb) == 1).all()
+        engine.execute_instruction(tb, warp, prog.instructions[0])
+        assert (warp.registers.read("i") == 1).all()
 
     def test_cache_is_not_pickled(self):
+        """A pickle round trip drops the table, rebuilds it on use and
+        gives identical results."""
         prog, engine, tb, warp = self._engine()
-        engine._eval(prog.instructions[0].srcs[0], warp, tb)
-        assert engine._constants
-        assert pickle.loads(pickle.dumps(engine))._constants == {}
+        self._run(engine, tb, warp, prog.instructions[:2])
+        assert len(engine._code) == 2
+        engine2, tb2, warp2 = pickle.loads(pickle.dumps((engine, tb, warp)))
+        assert engine2._code == {}
+        rest = prog.instructions[2:]
+        self._run(engine, tb, warp, rest)
+        self._run(engine2, tb2, warp2, rest)
+        assert sorted(engine2._code) == [inst.pc for inst in rest]
+        assert engine2.instructions_executed == engine.instructions_executed
+        assert warp2.exited and warp.exited
+        for name in ("i", "f", "pos", "neg"):
+            a, b = warp.registers.read(name), warp2.registers.read(name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -59,7 +59,7 @@ from repro.core.skip_table import PCSkipTable, SkipTableEntry
 from repro.core.taxonomy import Marking
 from repro.isa.instructions import INSTRUCTION_BYTES
 from repro.isa.operands import MemSpace
-from repro.timing.core import IBufferEntry, WarpRuntime
+from repro.timing.core import IBufferEntry
 from repro.timing.frontend import FetchAction, Frontend
 from repro.timing.stats import EnergyEvent
 
@@ -131,8 +131,6 @@ class DarsieFrontend(Frontend):
         self.promoted: Dict[int, Marking] = {}
         self._global_loads_disabled = False
         self._leader_pending_fetch: Dict[Tuple[int, int], int] = {}
-        #: ``skip_bit`` -> resident warp, for walking the watch mask
-        self._warp_of_bit: Dict[int, WarpRuntime] = {}
         self.coalescer = PCCoalescer(ports=self.cfg.skip_ports)
 
     # -- setup -------------------------------------------------------------
@@ -159,12 +157,7 @@ class DarsieFrontend(Frontend):
             version_table_ports=self.sm.config.version_table_ports,
         )
         for w in tb_rt.warps:
-            self._warp_of_bit[w.skip_bit] = w
             st.watch_bits |= w.skip_bit
-
-    def on_tb_complete(self, tb_rt) -> None:
-        for w in tb_rt.warps:
-            del self._warp_of_bit[w.skip_bit]
 
     # -- helpers --------------------------------------------------------------
 
@@ -206,7 +199,7 @@ class DarsieFrontend(Frontend):
             return  # fixed at bind time; nothing ever skips or blocks
         pipeline = self.sm.pipeline
         pending = self._leader_pending_fetch
-        warp_of_bit = self._warp_of_bit
+        warp_of_bit = pipeline.warp_of_bit
         candidates: List[Tuple[tuple, tuple]] = []
         warp_of: Dict[tuple, object] = {}
         # Visit the watched warps in ascending age, re-reading the mask
@@ -232,7 +225,8 @@ class DarsieFrontend(Frontend):
                 or not wrt.fetch_ready()
                 or not self._skippable_here(wrt, pc)
             ):
-                wrt.skip_blocked = False
+                if wrt.skip_blocked:
+                    wrt.set_blocked(skip=False)
                 wrt.skip_parked = False
                 if pending:
                     pending.pop((wrt.tb_rt.seq, wrt.warp.warp_id), None)
@@ -254,24 +248,26 @@ class DarsieFrontend(Frontend):
             if state == "skip":
                 candidates.append((wid, (tb_rt.seq, pc)))
                 warp_of[wid] = (tb_rt, wrt)
-                wrt.skip_blocked = True  # released below if serviced
+                wrt.set_blocked(skip=True)  # released below if serviced
             elif state == "wait" or state == "park":
                 if not wrt.skip_blocked:
                     # One probe per arrival; the warps-waiting bitmask
                     # parks the warp without re-probing (4.3.2).
                     self.sm.stats.count(EnergyEvent.SKIP_TABLE_PROBE)
-                wrt.skip_blocked = True
+                    wrt.set_blocked(skip=True)
                 # "park" has a guaranteed wake event (the leader's
                 # writeback); "wait" reasons are re-checked per cycle.
                 wrt.skip_parked = state == "park"
                 if wrt.skip_parked:
                     pipeline.skip_watch &= ~bit
             elif state == "lead":
-                wrt.skip_blocked = False
+                if wrt.skip_blocked:
+                    wrt.set_blocked(skip=False)
                 self._leader_pending_fetch[wid] = pc
                 pipeline.skip_watch &= ~bit
             else:  # "fetch" — execute privately
-                wrt.skip_blocked = False
+                if wrt.skip_blocked:
+                    wrt.set_blocked(skip=False)
 
         if not candidates:
             return
@@ -367,7 +363,7 @@ class DarsieFrontend(Frontend):
             self._watch(st.watch_bits)
             for w in tb_rt.warps:
                 if w.warp.warp_id in members:
-                    w.skip_blocked = False
+                    w.set_blocked(skip=False)
         else:
             self._cancel_entry(tb_rt, st, entry)
 
@@ -391,13 +387,13 @@ class DarsieFrontend(Frontend):
             wid = w.warp.warp_id
             if wid in members and st.rename.count(wid, key) < entry.instance:
                 w.bypass_pcs.add(entry.pc)
-                w.skip_blocked = False
+                w.set_blocked(skip=False)
 
     def _perform_skip(self, tb_rt, wrt, pc: int) -> None:
         st = self._st(tb_rt)
         entry = st.table.lookup(pc)
         if entry is None or not entry.leader_wb:
-            wrt.skip_blocked = True
+            wrt.set_blocked(skip=True)
             return
         if not st.version_budget.acquire(self.sm.cycle):
             # Finite version-table ports: the skip engine already spent
@@ -405,7 +401,7 @@ class DarsieFrontend(Frontend):
             # skip-blocked (not parked) and re-arbitrates next cycle.
             self.sm.stats.version_table_port_stalls += 1
             self.sm.note_activity()
-            wrt.skip_blocked = True
+            wrt.set_blocked(skip=True)
             return
         inst = self.program.at(pc)
         key = inst.dest_key
@@ -420,7 +416,7 @@ class DarsieFrontend(Frontend):
         stats.count(EnergyEvent.VERSION_TABLE)
         entry.warps_done.add(wrt.warp.warp_id)
         wrt.fetch_pc = pc + INSTRUCTION_BYTES
-        wrt.skip_blocked = False
+        wrt.set_blocked(skip=False)
         if self.sm.pipeline_trace is not None:
             self.sm.pipeline_trace.record(
                 self.sm.cycle, self.sm.sm_id, tb_rt.tb.tb_index,
@@ -659,7 +655,7 @@ class DarsieFrontend(Frontend):
                 if simd_div or post_pc != winner:
                     self._leave_path(tb_rt, w)
             if not w.exited:
-                w.branch_sync_blocked = False
+                w.set_blocked(branch_sync=False)
                 w.resync_fetch()
         self.sm.stats.branch_barriers += 1
         return True
@@ -720,7 +716,7 @@ class DarsieFrontend(Frontend):
         self._watch(st.watch_bits)
         self.sm.stats.count(EnergyEvent.MAJORITY_MASK)
         for w in tb_rt.warps:
-            w.skip_blocked = False
+            w.set_blocked(skip=False)
             w.skip_parked = False
             w.bypass_pcs.clear()
 
@@ -753,7 +749,7 @@ class DarsieFrontend(Frontend):
                 wid = w.warp.warp_id
                 if wid in members and wid not in entry.warps_done:
                     w.bypass_pcs.add(entry.pc)
-                    w.skip_blocked = False
+                    w.set_blocked(skip=False)
                     self._watch(w.skip_bit)
 
     def on_global_communication(self) -> None:
@@ -769,4 +765,4 @@ class DarsieFrontend(Frontend):
                     wid = w.warp.warp_id
                     if wid in members and wid not in entry.warps_done:
                         w.bypass_pcs.add(entry.pc)
-                        w.skip_blocked = False
+                        w.set_blocked(skip=False)

@@ -236,6 +236,9 @@ class Instruction:
         self.is_exit = op is Opcode.EXIT
         self.is_atomic = op is Opcode.ATOM
         self.uses_sfu = op in SFU_OPS
+        # Control instructions end a fetch group and an issue burst:
+        # fetch stalls after one until it resolves (no prediction).
+        self.ends_fetch = op in CONTROL_OPS
         self.src_regs = self._compute_source_registers()
         self.src_preds = self._compute_source_predicates()
         self.dst_reg = self.dst if isinstance(self.dst, Register) else None

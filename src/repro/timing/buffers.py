@@ -12,8 +12,6 @@ the structures defined here:
   re-derives that warp's readiness before its next selection slot, and
   sets its bit in the pipeline's ``skip_watch`` mask, so a skip engine
   re-probes the warp on its next pass.
-- :class:`IssueSlot` — one selected instruction travelling from the
-  issue stage through operand collection into execute.
 - :class:`WritebackQueue` — the latency-ordered queue of in-flight
   instructions between execute and writeback (replaces the ad-hoc heap
   the monolithic core carried).
@@ -142,22 +140,17 @@ class IBuffer:
         self.buffered = 0
         self.zero_cost = 0
 
+    def close(self) -> None:
+        """Drop the links to the owner and the pipeline (the owning
+        warp's threadblock finished; see ``TBRuntime.close``)."""
+        del self._owner, self._pipeline, self._dirty, self._ledger
+
     def detach(self) -> None:
         """Remove this buffer's zero-cost population from the shared
         ledger (the owning warp's TB left the SM)."""
         if self.zero_cost:
             self._ledger.total -= self.zero_cost
             self.zero_cost = 0
-
-
-@dataclass
-class IssueSlot:
-    """One instruction selected by the issue stage, on its way through
-    operand collection into execute (same-cycle, fully bypassed)."""
-
-    warp: "WarpRuntime"
-    entry: IBufferEntry
-    cycle: int
 
 
 #: one in-flight instruction: (ready cycle, seq, warp, inst, meta)
@@ -169,7 +162,7 @@ class WritebackQueue:
     """Latency-ordered in-flight instructions awaiting writeback.
 
     The execute stage :meth:`schedule`\\ s each instruction with its
-    completion cycle; the writeback stage :meth:`pop_ready`\\ s the ones
+    completion cycle; the writeback stage :meth:`pop_due`\\ s the ones
     due.  ``seq`` breaks ready-cycle ties in program (issue) order, so
     writeback order — and with it LeaderWB visibility — is deterministic.
     """
@@ -194,11 +187,14 @@ class WritebackQueue:
         """Snapshot of the in-flight instructions (oracle/debug aid)."""
         return list(self._heap)
 
-    def pop_ready(self, cycle: int) -> Optional[InflightItem]:
-        """The next in-flight instruction due at or before ``cycle``."""
-        if self._heap and self._heap[0][0] <= cycle:
-            return heapq.heappop(self._heap)
-        return None
+    def pop_due(self, cycle: int) -> List[InflightItem]:
+        """Every in-flight instruction due at or before ``cycle``, in
+        writeback order (the writeback stage's one call per cycle)."""
+        heap = self._heap
+        due: List[InflightItem] = []
+        while heap and heap[0][0] <= cycle:
+            due.append(heapq.heappop(heap))
+        return due
 
     def next_ready(self) -> Optional[int]:
         """Cycle at which the earliest in-flight instruction completes."""

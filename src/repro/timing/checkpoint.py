@@ -35,8 +35,11 @@ CHECKPOINT_MAGIC = b"REPROCKPT\n"
 #: pipeline keeps the skip engine's ``skip_watch`` mask, warps carry a
 #: skip bit and the DARSIE frontend a bit -> warp map; 4: the functional
 #: engine keeps a per-PC table of compiled instructions, dropped from the
-#: pickle, and step results carry ``full_warp``)
-CHECKPOINT_VERSION = 4
+#: pickle, and step results carry ``full_warp``; 5: the pipeline holds
+#: the frontend's hooks as bound methods, the blocked mask and the
+#: bit -> warp map (moved from the DARSIE frontend), and the
+#: operand-collect stage is gone)
+CHECKPOINT_VERSION = 5
 
 _HEADER = struct.Struct(">I")
 _DIGEST_SIZE = hashlib.sha256().digest_size

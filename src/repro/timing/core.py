@@ -13,8 +13,8 @@ Pipeline per Section 3 / Figure 4, as explicit stage objects
    ``num_schedulers`` GTO (greedy-then-oldest) schedulers each issue up
    to ``issue_width`` instructions from one warp per cycle, subject to a
    scoreboard over in-flight destinations.
-3. **Execute** (:class:`~repro.timing.stages.OperandCollectStage` +
-   :class:`~repro.timing.stages.ExecuteStage`) — operand reads model
+3. **Execute** (:class:`~repro.timing.stages.ExecuteStage`, one call
+   per issued instruction from the issue stage) — operand reads model
    register-file bank conflicts, including the extra conflicts DARSIE
    causes by pointing follower warps at the renamed register space
    (Section 6.1); instructions execute *functionally* at issue through
@@ -61,6 +61,13 @@ input to a skip classification.  Threadblock removal clears the bits.
 The frontend adds its own marks (see :mod:`repro.core.darsie`); a new
 input to a warp's skip classification must set the bit wherever it
 changes.
+
+Blocked-warp accounting: every cycle, ``sync_wait_cycles`` (and, when
+traced, a ``B`` event) counts each live warp that is skip-blocked or
+branch-sync-blocked.  The pipeline keeps those warps in one age-ordered
+mask (``StagePipeline.blocked``, bit ``skip_bit``) whose only writer is
+:meth:`WarpRuntime.set_blocked`; threadblock removal clears the bits.
+Under BASE no warp ever blocks, so the accounting costs nothing.
 """
 
 from __future__ import annotations
@@ -96,7 +103,6 @@ class WarpRuntime:
         self.issue_bit: int = 1 << (age // core.config.num_schedulers)
         #: this warp's bit in the SM-wide age-ordered ``skip_watch`` mask
         self.skip_bit: int = 1 << age
-        self.core = core
         self.fetch_pc: int = warp.pc
         #: the pipeline's dirty set: warps whose issue readiness may have
         #: changed since the issue stage last refreshed its masks
@@ -107,9 +113,11 @@ class WarpRuntime:
         self.ibuffer: IBuffer = IBuffer(core.pipeline, self)
         #: fetch stalled after a control instruction until it executes
         self.cf_stalled: bool = False
-        #: blocked at a TB-wide branch barrier (DARSIE / SILICON-SYNC)
+        #: blocked at a TB-wide branch barrier (DARSIE / SILICON-SYNC);
+        #: read freely, written only through :meth:`set_blocked`
         self.branch_sync_blocked: bool = False
-        #: blocked by the DARSIE skip engine (leaderWB / freelist sync)
+        #: blocked by the DARSIE skip engine (leaderWB / freelist sync);
+        #: read freely, written only through :meth:`set_blocked`
         self.skip_blocked: bool = False
         #: parked by the skip engine: the warps-waiting bitmask holds the
         #: warp without re-probing until a wake event (Section 4.3.2), so
@@ -138,6 +146,27 @@ class WarpRuntime:
             or self.warp.at_barrier
         )
 
+    def set_blocked(
+        self, *, skip: Optional[bool] = None, branch_sync: Optional[bool] = None
+    ) -> None:
+        """Set ``skip_blocked`` and/or ``branch_sync_blocked`` and keep
+        the warp's bit in the pipeline's ``blocked`` mask in step (the
+        per-cycle wait accounting walks that mask, not every warp)."""
+        if skip is not None:
+            self.skip_blocked = skip
+        if branch_sync is not None:
+            self.branch_sync_blocked = branch_sync
+        if self.skip_blocked or self.branch_sync_blocked:
+            self._pipeline.blocked |= self.skip_bit
+        else:
+            self._pipeline.blocked &= ~self.skip_bit
+
+    def close(self) -> None:
+        """Drop the links to the TB and into the pipeline (see
+        :meth:`TBRuntime.close`)."""
+        del self.tb_rt, self._dirty, self._pipeline
+        self.ibuffer.close()
+
     def resync_fetch(self) -> None:
         """Re-point the frontend at the architectural PC (post-branch).
 
@@ -159,6 +188,13 @@ class TBRuntime:
         self.seq = seq
         self.frontend_state: Dict = {}
         self.completed = False
+
+    def close(self) -> None:
+        """Break the TB's reference cycles (TB <-> warp, warp <-> I-buffer,
+        warp -> pipeline) once no in-flight instruction can reach its
+        warps again."""
+        for w in self.warps:
+            w.close()
 
 
 class SMCore:
@@ -188,6 +224,9 @@ class SMCore:
         self._tb_seq = 0
         self._warp_age = 0
         self.completed_tbs: List[TBRuntime] = []
+        #: completed threadblocks not yet closed: a warp of theirs may
+        #: still have a writeback in flight (see :meth:`_close_drained`)
+        self._retiring: List[TBRuntime] = []
         #: the staged pipeline (the frontend may supply a custom issue
         #: stage via ``make_issue_stage``, e.g. the DUAL-ISSUE variant)
         self.pipeline = StagePipeline(self)
@@ -213,14 +252,15 @@ class SMCore:
             self._warp_age += 1
             tb_rt.warps.append(wrt)
             self.warps.append(wrt)
-            self.pipeline.issue.add_warp(wrt)
+            self.pipeline.add_warp(wrt)
         self.tbs.append(tb_rt)
         self.frontend.on_tb_launch(tb_rt)
         return tb_rt
 
     @property
     def busy(self) -> bool:
-        return any(not tb.completed for tb in self.tbs)
+        # A threadblock leaves ``tbs`` in the step that completes it.
+        return bool(self.tbs)
 
     # -- main loop ------------------------------------------------------------
 
@@ -234,7 +274,7 @@ class SMCore:
     def note_activity(self) -> None:
         """Frontends call this when they mutate pipeline state outside
         the stages' own counting (zero-cost pushes, sync releases)."""
-        self.pipeline.note()
+        self.pipeline._activity += 1
 
     def wake_cycle(self) -> Optional[int]:
         """Earliest future cycle at which anything can happen on this SM
@@ -245,6 +285,22 @@ class SMCore:
         """Account for ``delta`` skipped idle cycles (see
         :meth:`StagePipeline.advance_idle`)."""
         self.pipeline.advance_idle(delta)
+
+    def close(self) -> None:
+        """Break the SM's reference cycles once its simulation finished.
+
+        The core, its pipeline and stages, the frontend (bound into the
+        pipeline's hooks) and the warps point at each other; dropping
+        the back-pointers lets reference counting free a finished
+        simulation (SM state, functional engine, memory) at once instead
+        of at the next full cyclic-GC pass.  (Completed threadblocks are
+        closed as they drain, see :meth:`_close_drained`.)  The stats
+        stay readable; the SM cannot be ticked again.  Idempotent."""
+        for tb_rt in self._retiring:
+            tb_rt.close()
+        self._retiring = []
+        self.pipeline.close()
+        vars(self.frontend).pop("sm", None)
 
     # -- retirement / barriers ---------------------------------------------
 
@@ -266,3 +322,17 @@ class SMCore:
             self.warps = [w for w in self.warps if w.tb_rt is not tb_rt]
             self.tbs = [t for t in self.tbs if t is not tb_rt]
             self.pipeline.remove_tb(tb_rt)
+            self._retiring.append(tb_rt)
+            self._close_drained()
+
+    def _close_drained(self) -> None:
+        """Close the completed threadblocks whose warps have nothing in
+        flight (a pending writeback still reaches its warp and, through
+        the frontend's ``on_writeback``, the warp's TB)."""
+        keep = []
+        for tb_rt in self._retiring:
+            if any(w.inflight for w in tb_rt.warps):
+                keep.append(tb_rt)
+            else:
+                tb_rt.close()
+        self._retiring = keep

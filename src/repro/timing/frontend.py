@@ -21,12 +21,20 @@ Hook timeline for one instruction:
   store/atomic events);
 - ``on_writeback``      destination value architecturally visible
   (DARSIE's LeaderWB bit).
+
+The pipeline resolves these hooks (:data:`PIPELINE_HOOKS`) once per SM,
+when it is built (:func:`bound_hook`): a hook the frontend's class
+inherits unchanged from :class:`Frontend` is never called, so a no-op
+default must stay a no-op — returning ``FETCH``/``None``/``False`` with
+no side effect.  A class-level override in place before the GPU is
+built (a subclass, or a test's monkeypatch) is honoured; one applied to
+a class after the GPU is built is not.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 
 
@@ -128,6 +136,29 @@ class Frontend:
         pass
 
 
+#: the frontend hooks the stages call through the pipeline, each
+#: resolved once per SM by :func:`bound_hook`
+PIPELINE_HOOKS = (
+    "fetch_cycle",
+    "filter_fetch",
+    "on_fetch",
+    "eliminate_at_issue",
+    "on_executed",
+    "on_writeback",
+    "blocks_after_branch",
+    "on_store",
+    "on_global_communication",
+)
+
+
+def bound_hook(frontend: Frontend, name: str) -> Optional[Callable]:
+    """``frontend``'s hook ``name`` as a bound method, or None when the
+    frontend's class inherits :class:`Frontend`'s no-op unchanged."""
+    if getattr(type(frontend), name) is getattr(Frontend, name):
+        return None
+    return getattr(frontend, name)
+
+
 class NullFrontend(Frontend):
     """Explicit alias of the base (no-elimination) frontend."""
 
@@ -186,7 +217,7 @@ class SiliconSyncFrontend(Frontend):
             for _at, warp_ids in ready:
                 for w in tb_rt.warps:
                     if w.warp.warp_id in warp_ids and not w.warp.exited:
-                        w.branch_sync_blocked = False
+                        w.set_blocked(branch_sync=False)
                         w.resync_fetch()
 
     def next_wake(self, cycle: int) -> Optional[int]:

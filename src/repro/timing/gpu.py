@@ -311,6 +311,7 @@ class GPU:
     def _finalize(self) -> SimulationResult:
         merged = SimStats()
         for sm in self.sms:
+            sm.close()
             sm.stats.cycles = self.cycle
             merged.merge(sm.stats)
         merged.cycles = self.cycle

@@ -1,6 +1,6 @@
 """Explicit stage objects of the SM pipeline (Section 3 / Figure 4).
 
-The monolithic ``SMCore`` is split into six stage classes, each with a
+The monolithic ``SMCore`` is split into five stage classes, each with a
 ``tick(cycle) -> activity`` contract, communicating only through the
 typed buffers in :mod:`repro.timing.buffers`:
 
@@ -12,22 +12,23 @@ typed buffers in :mod:`repro.timing.buffers`:
   of each warp's I-buffer.
 - :class:`IssueStage` — the GTO / loose-round-robin warp schedulers,
   wake-driven: per-scheduler age-ordered ``cand``/``ready`` bitmasks
-  replace a per-cycle scan of every warp.  A selected instruction
-  travels through operand collection into execute *in the same cycle*
+  replace a per-cycle scan of every warp.  A selected instruction goes
+  straight into :meth:`ExecuteStage.execute` *in the same cycle*
   (back-to-back pipeline with full bypass — exactly the timing the
   monolithic core modelled).
-- :class:`OperandCollectStage` — register-file reads and bank-conflict
-  accounting, including DARSIE's rename-space conflicts (Section 6.1).
-- :class:`ExecuteStage` — functional execution, latency modelling and
-  post-execute control flow (branch sync, barriers, warp retirement).
+- :class:`ExecuteStage` — not ticked: one call per issued instruction
+  does the operand reads and bank-conflict accounting (including
+  DARSIE's rename-space conflicts, Section 6.1), functional execution,
+  latency modelling, writeback scheduling and post-execute control flow
+  (branch sync, barriers, warp retirement).
 - :class:`FetchStage` — the frontend's per-cycle hook (DARSIE's skip
   engine runs "in parallel with the fetch scheduler"), the loose
   round-robin fetch scheduler and the I-cache/decode path.
 
 :class:`StagePipeline` assembles the stages, owns the shared buffers and
 the per-tick activity counter, and preserves the monolith's exact intra-
-cycle order: writeback -> decode-skip -> issue -> fetch -> wait
-accounting.  A frontend may swap in an alternative issue stage via
+cycle order: writeback -> decode-skip -> issue (-> execute) -> fetch ->
+wait accounting.  A frontend may swap in an alternative issue stage via
 :meth:`repro.timing.frontend.Frontend.make_issue_stage` (the
 ``DUAL-ISSUE`` variant swaps in :class:`DualIssueStage`).
 
@@ -35,6 +36,14 @@ Every stat is counted by exactly one stage, in the same per-cycle order
 the monolith used, so the refactor is bit-identical under the golden
 contract (``tests/timing/data/golden_tiny.json``) and the event-skip
 equivalence tests.
+
+The per-instruction path is decided once per SM, when the pipeline is
+built: each frontend hook is bound as a method, or left ``None`` when
+the frontend's class inherits :class:`~repro.timing.frontend.Frontend`'s
+no-op (see :func:`repro.timing.frontend.bound_hook`), so BASE calls no
+hook at all.  The untraced :meth:`StagePipeline.tick` calls each stage's
+``run`` directly; the traced path goes through :meth:`Stage.tick` to
+count activity per stage.
 
 The issue masks are kept current by dirty marks, not rediscovered: a
 warp joins :attr:`StagePipeline.dirty` on I-buffer ``push``/``pop``/
@@ -47,27 +56,39 @@ dirty wherever it changes (``tests/timing/test_issue_masks.py`` checks
 the masks against a from-scratch recomputation after every tick).
 
 The skip engine's watch mask (:attr:`StagePipeline.skip_watch`) is kept
-the same way; its marks are listed in :mod:`repro.timing.core`.
+the same way; its marks are listed in :mod:`repro.timing.core`.  The
+blocked mask (:attr:`StagePipeline.blocked`) has one writer,
+:meth:`repro.timing.core.WarpRuntime.set_blocked`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set
 
-from repro.isa.instructions import INSTRUCTION_BYTES, Instruction, Opcode
+from repro.isa.instructions import INSTRUCTION_BYTES, Opcode
 from repro.isa.operands import MemSpace
 from repro.timing.buffers import (
     IBufferEntry,
-    IssueSlot,
     WritebackQueue,
     ZeroCostLedger,
 )
-from repro.timing.frontend import FetchAction
+from repro.timing.frontend import PIPELINE_HOOKS, FetchAction, bound_hook
 from repro.timing.stats import EnergyEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.simt.executor import StepResult
     from repro.timing.core import SMCore, TBRuntime, WarpRuntime
+
+_RF_READ = EnergyEvent.RF_READ
+_RF_WRITE = EnergyEvent.RF_WRITE
+_ISSUE = EnergyEvent.ISSUE
+_SFU_OP = EnergyEvent.SFU_OP
+_ALU_OP = EnergyEvent.ALU_OP
+_DECODE = EnergyEvent.DECODE
+_ICACHE_FETCH = EnergyEvent.ICACHE_FETCH
+_FETCH = FetchAction.FETCH
+_FETCH_LEADER = FetchAction.FETCH_LEADER
+_HANDLED = FetchAction.HANDLED
+_WAIT = FetchAction.WAIT
 
 
 class Stage:
@@ -100,27 +121,31 @@ class WritebackStage(Stage):
     name = "writeback"
 
     def run(self, cycle: int) -> None:
+        pipeline = self.pipeline
+        due = pipeline.wbq.pop_due(cycle)
+        if not due:
+            return
         core = self.core
-        wbq = self.pipeline.wbq
-        while True:
-            item = wbq.pop_ready(cycle)
-            if item is None:
-                break
-            _ready, _seq, wrt, inst, meta = item
-            self.pipeline.note()
+        on_writeback = pipeline.on_writeback
+        events = core.stats.energy_events
+        dirty = pipeline.dirty
+        for _ready, _seq, wrt, inst, meta in due:
+            pipeline._activity += 1
             wrt.inflight -= 1
             if core.pipeline_trace is not None:
                 core.pipeline_trace.record(
                     cycle, core.sm_id, wrt.tb_rt.tb.tb_index, wrt.warp.warp_id,
                     "W", inst.pc,
                 )
-            dests = meta.get("dests", ())
+            dests = meta["dests"]
             if dests:
+                scoreboard = wrt.scoreboard
                 for key in dests:
-                    wrt.scoreboard.discard(key)
-                self.pipeline.dirty.add(wrt)
-                core.stats.energy_events[EnergyEvent.RF_WRITE] += 1
-            core.frontend.on_writeback(wrt, inst, meta)
+                    scoreboard.discard(key)
+                dirty.add(wrt)
+                events[_RF_WRITE] += 1
+            if on_writeback is not None:
+                on_writeback(wrt, inst, meta)
 
 
 class DecodeSkipStage(Stage):
@@ -135,7 +160,8 @@ class DecodeSkipStage(Stage):
     name = "decode-skip"
 
     def run(self, cycle: int) -> None:
-        if self.pipeline.zero_cost.total == 0:
+        pipeline = self.pipeline
+        if pipeline.zero_cost.total == 0:
             return
         core = self.core
         for wrt in core.warps:
@@ -147,7 +173,7 @@ class DecodeSkipStage(Stage):
                 entry = entries[0]
                 if entry.skip_token:
                     ibuf.pop()
-                    self.pipeline.note()
+                    pipeline._activity += 1
                     assert wrt.warp.pc == entry.inst.pc, (
                         f"skip token out of order: arch pc {wrt.warp.pc:#x}, "
                         f"token pc {entry.inst.pc:#x}"
@@ -155,17 +181,13 @@ class DecodeSkipStage(Stage):
                     wrt.warp.pc += INSTRUCTION_BYTES
                     wrt.warp.maybe_reconverge()
                     continue
-                if _hazard(wrt, entry.inst):
+                sb = wrt.scoreboard
+                if sb and not sb.isdisjoint(entry.inst.hazard_keys):
                     break
                 ibuf.pop()
-                self.pipeline.note()
+                pipeline._activity += 1
                 core.engine.execute_instruction(wrt.tb_rt.tb, wrt.warp, entry.inst)
                 core.stats.instructions_skipped += 1
-
-
-def _hazard(wrt: "WarpRuntime", inst: Instruction) -> bool:
-    sb = wrt.scoreboard
-    return bool(sb) and not sb.isdisjoint(inst.hazard_keys)
 
 
 class IssueStage(Stage):
@@ -182,9 +204,8 @@ class IssueStage(Stage):
     The masks are re-derived only for warps in the pipeline's ``dirty``
     set, before every selection slot (an execute in one scheduler can
     release a barrier for the next; DUAL-ISSUE's second slot sees the
-    first slot's effects).  Selected instructions are handed to operand
-    collection and execute as an :class:`~repro.timing.buffers.IssueSlot`
-    within the same cycle.
+    first slot's effects).  Each selected instruction is handed to
+    :meth:`ExecuteStage.execute` within the same cycle.
     """
 
     name = "issue"
@@ -200,13 +221,14 @@ class IssueStage(Stage):
         self._ready: List[int] = [0] * n
         #: per scheduler: issue bit -> resident warp
         self._warp_of: List[Dict[int, "WarpRuntime"]] = [{} for _ in range(n)]
+        self._lrr = self.core.config.scheduler_policy == "lrr"
+        self._issue_width = self.core.config.issue_width
 
     # -- residency bookkeeping (driven by the core) -------------------------
 
     def add_warp(self, wrt: "WarpRuntime") -> None:
         self._warp_of[wrt.scheduler_id][wrt.issue_bit] = wrt
         self.pipeline.dirty.add(wrt)
-        self.pipeline.skip_watch |= wrt.skip_bit
 
     def remove_tb(self, tb_rt: "TBRuntime") -> None:
         dirty = self.pipeline.dirty
@@ -220,7 +242,7 @@ class IssueStage(Stage):
     def advance_idle(self, delta: int) -> None:
         """Replay ``delta`` skipped idle cycles: each LRR scheduler that
         had issue candidates advances its rotation per cycle."""
-        if self.core.config.scheduler_policy == "lrr":
+        if self._lrr:
             if self.pipeline.dirty:
                 self._refresh()
             for sched, cand in enumerate(self._cand):
@@ -242,12 +264,13 @@ class IssueStage(Stage):
                 continue
             cand[sched] |= bit
             head = entries[0]
+            sb = wrt.scoreboard
             if (
                 head.free
                 or head.skip_token
                 or wrt.warp.at_barrier
                 or wrt.branch_sync_blocked
-                or _hazard(wrt, head.inst)
+                or (sb and not sb.isdisjoint(head.inst.hazard_keys))
             ):
                 ready[sched] &= ~bit
             else:
@@ -257,7 +280,7 @@ class IssueStage(Stage):
     # -- the per-cycle schedulers -------------------------------------------
 
     def run(self, cycle: int) -> None:
-        if self.core.config.scheduler_policy == "lrr":
+        if self._lrr:
             self._run_lrr(cycle)
         else:
             self._run_gto(cycle)
@@ -322,31 +345,32 @@ class IssueStage(Stage):
         core = self.core
         pipeline = self.pipeline
         stats = core.stats
+        events = stats.energy_events
+        execute = pipeline.execute.execute
         ibuf = wrt.ibuffer
         entries = ibuf.entries
-        issue_width = core.config.issue_width
-        while issued < issue_width and entries:
+        sb = wrt.scoreboard
+        while issued < self._issue_width and entries:
             entry = entries[0]
             if entry.free or entry.skip_token:
                 break  # handled by the decode-skip drain
             if wrt.warp.at_barrier or wrt.branch_sync_blocked:
                 break
-            if _hazard(wrt, entry.inst):
+            inst = entry.inst
+            if sb and not sb.isdisjoint(inst.hazard_keys):
                 break
             ibuf.pop()
-            pipeline.note()
+            pipeline._activity += 1
             if core.pipeline_trace is not None:
                 core.pipeline_trace.record(
                     cycle, core.sm_id, wrt.tb_rt.tb.tb_index, wrt.warp.warp_id,
-                    "I", entry.inst.pc,
+                    "I", inst.pc,
                 )
             stats.instructions_issued += 1
-            stats.energy_events[EnergyEvent.ISSUE] += 1
-            slot = IssueSlot(warp=wrt, entry=entry, cycle=cycle)
-            pipeline.operand_collect.collect(slot)
-            pipeline.execute.execute(slot)
+            events[_ISSUE] += 1
+            execute(cycle, wrt, entry)
             issued += 1
-            if entry.inst.opcode in (Opcode.BRA, Opcode.EXIT, Opcode.BAR):
+            if inst.ends_fetch:
                 break
         return issued
 
@@ -365,125 +389,124 @@ class DualIssueStage(IssueStage):
     warps_per_cycle = 2
 
 
-class OperandCollectStage(Stage):
-    """Register-file operand reads and bank-conflict accounting."""
-
-    name = "operand-collect"
-
-    def collect(self, slot: IssueSlot) -> None:
-        stats = self.core.stats
-        inst = slot.entry.inst
-        stats.energy_events[EnergyEvent.RF_READ] += inst.rf_read_count
-        stats.rf_bank_conflicts += self._bank_conflicts(inst, slot.entry)
-
-    def _bank_conflicts(self, inst: Instruction, entry: IBufferEntry) -> int:
-        """Same-cycle operand bank collisions (coarse operand-collector
-        model: each distinct source register occupies one bank read)."""
-        conflicts, banks = inst.bank_info(self.core.config.rf_banks)
-        if entry.overrides:
-            # Renamed operands live in the strided rename space; reads
-            # from it collide with the warp's own operand reads
-            # (Section 6.1's DARSIE-induced bank conflicts).
-            rename_banks = entry.overrides.get("banks", ())
-            collide = sum(1 for b in rename_banks if b in banks)
-            conflicts += collide
-            self.core.stats.darsie_bank_conflicts += collide
-        return conflicts
-
-
 class ExecuteStage(Stage):
-    """Functional execution at issue, latency modelling, post-execute
-    control flow, and writeback scheduling."""
+    """Operand collection, functional execution, latency modelling,
+    writeback scheduling and post-execute control flow of one issued
+    instruction — a single call from the issue stage, not ticked."""
 
     name = "execute"
 
-    def execute(self, slot: IssueSlot) -> None:
-        core = self.core
-        stats = core.stats
-        wrt = slot.warp
-        entry = slot.entry
-        inst = entry.inst
-        cycle = slot.cycle
+    def __init__(self, pipeline: "StagePipeline") -> None:
+        super().__init__(pipeline)
+        cfg = self.core.config
+        self._rf_banks = cfg.rf_banks
+        self._alu_latency = cfg.alu_latency
+        self._sfu_latency = cfg.sfu_latency
 
-        eliminate_kind = core.frontend.eliminate_at_issue(wrt, inst)
-        overrides = entry.overrides or {}
-        depth_before = len(wrt.warp.stack)
+    def execute(self, cycle: int, wrt: "WarpRuntime", entry: IBufferEntry) -> None:
+        core = self.core
+        pipeline = self.pipeline
+        stats = core.stats
+        events = stats.energy_events
+        inst = entry.inst
+
+        # Operand collection: register-file reads and same-cycle bank
+        # collisions (coarse model: each distinct source register
+        # occupies one bank read).
+        events[_RF_READ] += inst.rf_read_count
+        conflicts, banks = inst.bank_info(self._rf_banks)
+        overrides = entry.overrides
+        if overrides:
+            # Renamed operands live in the strided rename space; reads
+            # from it collide with the warp's own operand reads
+            # (Section 6.1's DARSIE-induced bank conflicts).
+            collide = 0
+            for b in overrides.get("banks", ()):
+                if b in banks:
+                    collide += 1
+            conflicts += collide
+            stats.darsie_bank_conflicts += collide
+            reg_overrides = overrides.get("regs")
+            pred_overrides = overrides.get("preds")
+        else:
+            reg_overrides = pred_overrides = None
+        stats.rf_bank_conflicts += conflicts
+
+        eliminate_at_issue = pipeline.eliminate_at_issue
+        eliminate_kind = (
+            eliminate_at_issue(wrt, inst) if eliminate_at_issue is not None else None
+        )
+        warp = wrt.warp
+        depth_before = len(warp.stack)
         result = core.engine.execute_instruction(
-            wrt.tb_rt.tb,
-            wrt.warp,
-            inst,
-            reg_overrides=overrides.get("regs"),
-            pred_overrides=overrides.get("preds"),
+            wrt.tb_rt.tb, warp, inst, reg_overrides, pred_overrides
         )
         stats.instructions_executed += 1
         if depth_before > 1:
             stats.divergence_serialized_instructions += 1
-        if inst.is_branch and len(wrt.warp.stack) > depth_before:
+        if inst.is_branch and len(warp.stack) > depth_before:
             stats.divergent_branches += 1
 
+        # Latency by functional-unit class (ALU/SFU/LDST + memory system).
         if eliminate_kind is not None:
             stats.executions_eliminated += 1
             stats.eliminated_by_class[eliminate_kind] += 1
             ready = cycle + 1
-        else:
-            ready = self._latency(cycle, inst, result)
-
-        dests = inst.sb_dests
-        meta = {"dests": dests, "is_leader": entry.is_leader, "result": result}
-        for key in dests:
-            wrt.scoreboard.add(key)
-        if dests or entry.is_leader:
-            self.pipeline.wbq.schedule(ready, wrt, inst, meta)
-
-        self._post_execute(cycle, wrt, inst, result)
-
-    def _latency(self, cycle: int, inst: Instruction, result: "StepResult") -> int:
-        core = self.core
-        cfg = core.config
-        if inst.is_memory:
-            assert inst.mem is not None
+        elif inst.is_memory:
+            mem = inst.mem
+            assert mem is not None
             addresses = result.mem_addresses
             if addresses is None:
-                return cycle + 1
-            mask = result.exec_mask
-            if inst.mem.space is MemSpace.SHARED:
-                return core.memory.shared_access(cycle, addresses, mask)
-            return core.memory.global_access(cycle, addresses, mask, inst.is_store)
-        if inst.uses_sfu:
-            core.stats.energy_events[EnergyEvent.SFU_OP] += 1
-            return cycle + cfg.sfu_latency
-        if inst.opcode in (Opcode.BRA, Opcode.EXIT, Opcode.BAR, Opcode.NOP):
-            return cycle + 1
-        core.stats.energy_events[EnergyEvent.ALU_OP] += 1
-        return cycle + cfg.alu_latency
-
-    def _post_execute(
-        self, cycle: int, wrt: "WarpRuntime", inst: Instruction, result: "StepResult"
-    ) -> None:
-        core = self.core
-        core.frontend.on_executed(wrt, inst, result)
-
-        if inst.is_store:
-            core.frontend.on_store(wrt.tb_rt)
-        if inst.is_atomic and inst.mem.space is MemSpace.GLOBAL:
-            core.frontend.on_global_communication()
-
-        if inst.is_branch:
-            if core.frontend.blocks_after_branch(wrt, inst):
-                wrt.branch_sync_blocked = True
+                ready = cycle + 1
+            elif mem.space is MemSpace.SHARED:
+                ready = core.memory.shared_access(cycle, addresses, result.exec_mask)
             else:
-                wrt.resync_fetch()
-            return
-        if inst.is_barrier:
-            core.release_barrier(wrt.tb_rt)
-            return
-        if inst.is_exit:
-            if result.retired:
+                ready = core.memory.global_access(
+                    cycle, addresses, result.exec_mask, inst.is_store
+                )
+        elif inst.uses_sfu:
+            events[_SFU_OP] += 1
+            ready = cycle + self._sfu_latency
+        elif inst.ends_fetch or inst.opcode is Opcode.NOP:
+            ready = cycle + 1
+        else:
+            events[_ALU_OP] += 1
+            ready = cycle + self._alu_latency
+
+        dests = inst.sb_dests
+        if dests or entry.is_leader:
+            for key in dests:
+                wrt.scoreboard.add(key)
+            pipeline.wbq.schedule(
+                ready, wrt, inst,
+                {"dests": dests, "is_leader": entry.is_leader, "result": result},
+            )
+
+        # Post-execute: frontend events, then control flow.
+        if pipeline.on_executed is not None:
+            pipeline.on_executed(wrt, inst, result)
+        if inst.is_store and pipeline.on_store is not None:
+            pipeline.on_store(wrt.tb_rt)
+        if inst.is_atomic and pipeline.on_global_communication is not None:
+            mem = inst.mem
+            assert mem is not None
+            if mem.space is MemSpace.GLOBAL:
+                pipeline.on_global_communication()
+
+        if inst.ends_fetch:
+            if inst.is_branch:
+                blocks_after_branch = pipeline.blocks_after_branch
+                if blocks_after_branch is not None and blocks_after_branch(wrt, inst):
+                    wrt.set_blocked(branch_sync=True)
+                else:
+                    wrt.resync_fetch()
+            elif inst.is_barrier:
+                core.release_barrier(wrt.tb_rt)
+            elif result.retired:
                 core.retire_warp(wrt)
             else:
                 wrt.resync_fetch()
-            return
-        if wrt.warp.pc != inst.pc + INSTRUCTION_BYTES:
+        elif warp.pc != inst.pc + INSTRUCTION_BYTES:
             # A reconvergence pop switched the warp to another divergent
             # path (non-sequential PC without a branch): the straight-line
             # prefetch past the reconvergence point is wrong-path.
@@ -505,72 +528,96 @@ class FetchStage(Stage):
     def __init__(self, pipeline: "StagePipeline") -> None:
         super().__init__(pipeline)
         self._fetch_rr = 0
+        program = self.core.ctx.program
+        self._end_pc = program.end_pc
+        #: PC -> instruction, for the straight-line fetch group
+        self._inst_at = {inst.pc: inst for inst in program.instructions}
+        cfg = self.core.config
+        self._capacity = cfg.ibuffer_entries
+        self._fetch_width = cfg.fetch_width
+        self._fetch_warps = cfg.fetch_warps_per_cycle
 
     def run(self, cycle: int) -> None:
         core = self.core
-        core.frontend.fetch_cycle(cycle)
+        pipeline = self.pipeline
+        if pipeline.fetch_cycle is not None:
+            pipeline.fetch_cycle(cycle)
         warps = core.warps
         n = len(warps)
         if n == 0:
             return
-        end_pc = core.ctx.program.end_pc
-        capacity = core.config.ibuffer_entries
-        frontend = core.frontend
-        for _initiated in range(core.config.fetch_warps_per_cycle):
+        end_pc = self._end_pc
+        capacity = self._capacity
+        filter_fetch = pipeline.filter_fetch
+        for _initiated in range(self._fetch_warps):
             chosen = None
+            action = _FETCH
+            rr = self._fetch_rr
             for i in range(n):
-                wrt = warps[(self._fetch_rr + i) % n]
-                if not wrt.fetch_ready() or wrt.skip_blocked:
+                wrt = warps[(rr + i) % n]
+                if wrt.skip_blocked or not wrt.fetch_ready():
                     continue
                 if wrt.ibuffer.buffered >= capacity:
                     continue
                 if wrt.fetch_pc >= end_pc:
                     continue
-                action = frontend.filter_fetch(wrt, wrt.fetch_pc)
-                if action in (FetchAction.HANDLED, FetchAction.WAIT):
-                    continue
-                chosen = (wrt, action)
-                self._fetch_rr = (self._fetch_rr + i + 1) % n
+                if filter_fetch is not None:
+                    action = filter_fetch(wrt, wrt.fetch_pc)
+                    if action is _HANDLED or action is _WAIT:
+                        continue
+                chosen = wrt
+                self._fetch_rr = (rr + i + 1) % n
                 break
             if chosen is None:
                 return
-            wrt, action = chosen
-            self.pipeline.note()
-            core.stats.energy_events[EnergyEvent.ICACHE_FETCH] += 1
-            self._fetch_into(cycle, wrt, action)
+            pipeline._activity += 1
+            core.stats.energy_events[_ICACHE_FETCH] += 1
+            self._fetch_into(cycle, chosen, action)
 
     def _fetch_into(
-        self, cycle: int, wrt: "WarpRuntime", first_action: FetchAction
+        self, cycle: int, wrt: "WarpRuntime", action: FetchAction
     ) -> None:
         core = self.core
-        fetched = 0
-        action = first_action
+        pipeline = self.pipeline
         stats = core.stats
+        events = stats.energy_events
+        on_fetch = pipeline.on_fetch
+        filter_fetch = pipeline.filter_fetch
+        inst_at = self._inst_at
+        end_pc = self._end_pc
+        fetch_width = self._fetch_width
+        capacity = self._capacity
         ibuf = wrt.ibuffer
-        while fetched < core.config.fetch_width and ibuf.buffered < core.config.ibuffer_entries:
-            if action in (FetchAction.HANDLED, FetchAction.WAIT):
+        bypass_pcs = wrt.bypass_pcs
+        fetched = 0
+        while fetched < fetch_width and ibuf.buffered < capacity:
+            if action is _HANDLED or action is _WAIT:
                 break
-            inst = core.ctx.program.at(wrt.fetch_pc)
-            is_leader = action is FetchAction.FETCH_LEADER
-            overrides = core.frontend.on_fetch(wrt, inst, is_leader)
-            ibuf.push(IBufferEntry(inst=inst, is_leader=is_leader, overrides=overrides))
+            pc = wrt.fetch_pc
+            inst = inst_at[pc]
+            is_leader = action is _FETCH_LEADER
+            overrides = on_fetch(wrt, inst, is_leader) if on_fetch is not None else None
+            ibuf.push(IBufferEntry(inst, is_leader, overrides))
             if core.pipeline_trace is not None:
                 core.pipeline_trace.record(
                     cycle, core.sm_id, wrt.tb_rt.tb.tb_index, wrt.warp.warp_id,
-                    "F", inst.pc,
+                    "F", pc,
                 )
             stats.instructions_fetched += 1
             stats.instructions_decoded += 1
-            stats.energy_events[EnergyEvent.DECODE] += 1
-            wrt.bypass_pcs.discard(wrt.fetch_pc)
-            wrt.fetch_pc += INSTRUCTION_BYTES
+            events[_DECODE] += 1
+            if bypass_pcs:
+                bypass_pcs.discard(pc)
+            pc += INSTRUCTION_BYTES
+            wrt.fetch_pc = pc
             fetched += 1
-            if inst.opcode in (Opcode.BRA, Opcode.EXIT, Opcode.BAR):
+            if inst.ends_fetch:
                 wrt.cf_stalled = True
                 break
-            if wrt.fetch_pc >= core.ctx.program.end_pc:
+            if pc >= end_pc:
                 break
-            action = core.frontend.filter_fetch(wrt, wrt.fetch_pc)
+            if filter_fetch is not None:
+                action = filter_fetch(wrt, pc)
 
 
 class StagePipeline:
@@ -578,9 +625,23 @@ class StagePipeline:
 
     Intra-cycle order (identical to the historical monolith, and pinned
     by the golden contract): writeback -> decode-skip -> issue (which
-    drives operand-collect and execute combinationally) -> fetch (which
-    runs the frontend's per-cycle hook first) -> wait accounting.
+    calls execute for each issued instruction) -> fetch (which runs the
+    frontend's per-cycle hook first) -> wait accounting.
+
+    The frontend's per-instruction hooks (:data:`~repro.timing.frontend.
+    PIPELINE_HOOKS`) are attributes of the pipeline, each a bound method
+    or ``None`` for an inherited no-op, resolved here once.
     """
+
+    fetch_cycle: Optional[Callable[[int], None]]
+    filter_fetch: Optional[Callable[..., FetchAction]]
+    on_fetch: Optional[Callable[..., Optional[Dict[str, Any]]]]
+    eliminate_at_issue: Optional[Callable[..., Optional[str]]]
+    on_executed: Optional[Callable[..., None]]
+    on_writeback: Optional[Callable[..., None]]
+    blocks_after_branch: Optional[Callable[..., bool]]
+    on_store: Optional[Callable[..., None]]
+    on_global_communication: Optional[Callable[[], None]]
 
     def __init__(self, core: "SMCore") -> None:
         self.core = core
@@ -593,22 +654,26 @@ class StagePipeline:
         #: skip classification may have changed since the skip engine
         #: last probed them; BASE-like frontends never read it
         self.skip_watch: int = 0
+        #: age-ordered mask of resident warps (bit ``skip_bit``) that are
+        #: skip-blocked or branch-sync-blocked; written only by
+        #: :meth:`WarpRuntime.set_blocked`, and always 0 under BASE
+        self.blocked: int = 0
+        #: ``skip_bit`` -> resident warp, for walking ``blocked`` and
+        #: ``skip_watch``
+        self.warp_of_bit: Dict[int, "WarpRuntime"] = {}
         #: state changes observed during the current tick
         self._activity = 0
+        for hook in PIPELINE_HOOKS:
+            setattr(self, hook, bound_hook(core.frontend, hook))
         self.writeback = WritebackStage(self)
         self.decode_skip = DecodeSkipStage(self)
+        self.execute = ExecuteStage(self)
         issue = core.frontend.make_issue_stage(self)
         self.issue: IssueStage = issue if issue is not None else IssueStage(self)
-        self.operand_collect = OperandCollectStage(self)
-        self.execute = ExecuteStage(self)
         self.fetch = FetchStage(self)
-        #: the ticked stages, in intra-cycle order (operand-collect and
-        #: execute are driven combinationally by issue, not ticked)
+        #: the ticked stages, in intra-cycle order (execute is called by
+        #: issue for each issued instruction, not ticked)
         self.stages = (self.writeback, self.decode_skip, self.issue, self.fetch)
-
-    def note(self) -> None:
-        """Record one state change (stages and frontends both call this)."""
-        self._activity += 1
 
     def tick(self, cycle: int) -> int:
         """Advance every stage one cycle; returns the activity count (0
@@ -617,11 +682,13 @@ class StagePipeline:
         self._activity = 0
         trace = self.core.pipeline_trace
         if trace is None:
-            self.writeback.tick(cycle)
-            self.decode_skip.tick(cycle)
-            self.issue.tick(cycle)
-            self.fetch.tick(cycle)
-            self._account_waits(cycle)
+            self.writeback.run(cycle)
+            if self.zero_cost.total:
+                self.decode_skip.run(cycle)
+            self.issue.run(cycle)
+            self.fetch.run(cycle)
+            if self.blocked:
+                self._account_waits(cycle)
             return self._activity
         stage_activity = {stage.name: stage.tick(cycle) for stage in self.stages}
         self._account_waits(cycle)
@@ -637,6 +704,26 @@ class StagePipeline:
             wake = fw
         return wake
 
+    def add_warp(self, wrt: "WarpRuntime") -> None:
+        """A warp became resident: register it with the issue stage and
+        the skip watch."""
+        self.warp_of_bit[wrt.skip_bit] = wrt
+        self.skip_watch |= wrt.skip_bit
+        self.issue.add_warp(wrt)
+
+    def blocked_warps(self) -> List["WarpRuntime"]:
+        """The live warps in ``blocked``, in ascending age."""
+        warps = []
+        warp_of_bit = self.warp_of_bit
+        mask = self.blocked
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            w = warp_of_bit[bit]
+            if not w.warp.exited:
+                warps.append(w)
+        return warps
+
     def advance_idle(self, delta: int) -> None:
         """Account for ``delta`` skipped idle cycles.
 
@@ -644,40 +731,36 @@ class StagePipeline:
         blocked live warp and (b) advances each LRR scheduler that had
         issue candidates; both are replayed here in closed form.
         """
-        core = self.core
-        blocked = 0
-        for w in core.warps:
-            if (w.skip_blocked or w.branch_sync_blocked) and not w.warp.exited:
-                blocked += 1
-        if blocked:
-            core.stats.sync_wait_cycles += blocked * delta
+        if self.blocked:
+            self.core.stats.sync_wait_cycles += len(self.blocked_warps()) * delta
         self.issue.advance_idle(delta)
 
     def remove_tb(self, tb_rt: "TBRuntime") -> None:
         """A threadblock left the SM: drop its warps from the issue
-        stage and the skip watch, and its zero-cost entries from the
-        shared ledger."""
+        stage, the skip watch and the blocked mask, and its zero-cost
+        entries from the shared ledger."""
         for w in tb_rt.warps:
             w.ibuffer.detach()
             self.skip_watch &= ~w.skip_bit
+            self.blocked &= ~w.skip_bit
+            del self.warp_of_bit[w.skip_bit]
         self.issue.remove_tb(tb_rt)
 
     def _account_waits(self, cycle: int) -> None:
         """One ``sync_wait_cycles`` (and, when traced, one ``B`` event)
         per blocked live warp."""
+        if not self.blocked:
+            return
         core = self.core
+        blocked = self.blocked_warps()
         trace = core.pipeline_trace
-        blocked = 0
-        for w in core.warps:
-            if (w.skip_blocked or w.branch_sync_blocked) and not w.warp.exited:
-                blocked += 1
-                if trace is not None:
-                    trace.record(
-                        cycle, core.sm_id, w.tb_rt.tb.tb_index,
-                        w.warp.warp_id, "B", w.fetch_pc,
-                    )
-        if blocked:
-            core.stats.sync_wait_cycles += blocked
+        if trace is not None:
+            for w in blocked:
+                trace.record(
+                    cycle, core.sm_id, w.tb_rt.tb.tb_index,
+                    w.warp.warp_id, "B", w.fetch_pc,
+                )
+        core.stats.sync_wait_cycles += len(blocked)
 
     def record_idle(self, cycle: int) -> None:
         """Record one skipped idle ``cycle`` into the attached trace as a
@@ -686,12 +769,11 @@ class StagePipeline:
         of the span are accrued in closed form by :meth:`advance_idle`.)"""
         core = self.core
         trace = core.pipeline_trace
-        for w in core.warps:
-            if (w.skip_blocked or w.branch_sync_blocked) and not w.warp.exited:
-                trace.record(
-                    cycle, core.sm_id, w.tb_rt.tb.tb_index,
-                    w.warp.warp_id, "B", w.fetch_pc,
-                )
+        for w in self.blocked_warps():
+            trace.record(
+                cycle, core.sm_id, w.tb_rt.tb.tb_index,
+                w.warp.warp_id, "B", w.fetch_pc,
+            )
         trace.sample(
             cycle, core.sm_id, {stage.name: 0 for stage in self.stages},
             self.occupancy(),
@@ -705,3 +787,14 @@ class StagePipeline:
             "zero_cost": self.zero_cost.total,
             "inflight": len(self.wbq),
         }
+
+    def close(self) -> None:
+        """Drop the back-pointers to the core, the frontend and the
+        pipeline itself (the simulation finished; see
+        :meth:`repro.timing.core.SMCore.close`).  Idempotent."""
+        for hook in PIPELINE_HOOKS:
+            setattr(self, hook, None)
+        for stage in (self.writeback, self.decode_skip, self.execute, self.issue, self.fetch):
+            vars(stage).pop("pipeline", None)
+            vars(stage).pop("core", None)
+        vars(self).pop("core", None)

@@ -53,7 +53,7 @@ def check_watch(sm) -> int:
     live warps were off the mask."""
     fe = sm.frontend
     watch = sm.pipeline.skip_watch
-    assert fe._warp_of_bit == {w.skip_bit: w for w in sm.warps}
+    assert sm.pipeline.warp_of_bit == {w.skip_bit: w for w in sm.warps}
     unwatched = 0
     for w in sm.warps:
         if watch & w.skip_bit or w.exited:
@@ -255,7 +255,7 @@ class TestStaleMark:
         fe = sm.frontend
         assert fe.skip_pcs
         bit = retired.warps[0].skip_bit
-        assert bit not in fe._warp_of_bit
+        assert bit not in sm.pipeline.warp_of_bit
         fe._wake_parked(retired)
         assert sm.pipeline.skip_watch & bit
         fe.fetch_cycle(sm.cycle + 1)

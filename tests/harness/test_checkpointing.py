@@ -118,12 +118,12 @@ class TestKillResume:
 
 
 class TestFormatSkew:
-    @pytest.mark.parametrize("old", [1, 2, 3])
+    @pytest.mark.parametrize("old", [1, 2, 3, 4])
     def test_previous_version_checkpoint_is_ignored_and_run_starts_fresh(
         self, tmp_path, old
     ):
-        """A checkpoint left by an older checkout (format version 1, 2
-        or 3) is refused on read, and the attempt that finds it runs from
+        """A checkpoint left by an older checkout (format version 1 to
+        4) is refused on read, and the attempt that finds it runs from
         cycle zero to the same result as a clean run."""
         (clean,), _ = run_specs([SPEC], jobs=1, use_cache=False)
         runner = WorkloadRunner.from_config(

@@ -96,6 +96,27 @@ class TestKillResumeBitIdentical:
             revived = GPU.restore(gpu.snapshot())
             assert revived.run().to_dict() == ref.to_dict()
 
+    @pytest.mark.parametrize("variant", ["UV", "DAC-IDEAL"])
+    def test_bound_hooks_resume_on_the_restored_frontend(self, variant):
+        """The pipeline's bound hooks pickle as (frontend, name): after a
+        restore they call the restored frontend, whose state the resumed
+        run must keep advancing to the uninterrupted result."""
+        ref = build_gpu(variant).run()
+        gpu = build_gpu(variant)
+        assert gpu.run_to(max(1, ref.cycles // 2)) is None
+        revived = GPU.restore(gpu.snapshot())
+        for sm in revived.sms:
+            hooks = {
+                name: getattr(sm.pipeline, name)
+                for name in ("fetch_cycle", "on_fetch", "eliminate_at_issue")
+            }
+            bound = {name: hook for name, hook in hooks.items() if hook is not None}
+            assert bound, variant
+            assert all(hook.__self__ is sm.frontend for hook in bound.values())
+        result = revived.run()
+        assert result.to_dict() == ref.to_dict()
+        assert result.stats == ref.stats
+
     def test_snapshot_under_trace_is_a_usage_error(self):
         gpu = build_gpu("BASE")
         gpu.attach_trace(object())
@@ -204,19 +225,20 @@ class TestCheckpointContainer:
         with pytest.raises(CheckpointError, match="version"):
             read_checkpoint(paused)
 
-    @pytest.mark.parametrize("old", [1, 2, 3])
+    @pytest.mark.parametrize("old", [1, 2, 3, 4])
     def test_previous_format_version_is_refused(self, paused, old):
         # Version 1 pickled an issue stage that scanned per-scheduler
         # warp lists, version 2 a pipeline without the skip engine's
-        # watch mask, version 3 step results without ``full_warp``;
+        # watch mask, version 3 step results without ``full_warp``,
+        # version 4 a pipeline without bound hooks or the blocked mask;
         # restoring any of them into the current code would leave
         # fields missing, so the header alone must refuse them.
-        assert CHECKPOINT_VERSION == 4
+        assert CHECKPOINT_VERSION == 5
         blob = bytearray(open(paused, "rb").read())
         blob[len(CHECKPOINT_MAGIC):len(CHECKPOINT_MAGIC) + 4] = old.to_bytes(4, "big")
         with open(paused, "wb") as fh:
             fh.write(bytes(blob))
-        with pytest.raises(CheckpointError, match=f"version {old}, expected 4"):
+        with pytest.raises(CheckpointError, match=f"version {old}, expected 5"):
             read_checkpoint(paused)
 
     def test_payload_bitrot_fails_checksum(self, paused):
@@ -283,11 +305,7 @@ class TestStructureRoundTrips:
         restored.schedule(3, restored.pending()[0][2], inst, {"tag": "early3"})
         tags = []
         for cycle in (3, 7):
-            while True:
-                item = restored.pop_ready(cycle)
-                if item is None:
-                    break
-                tags.append(item[4]["tag"])
+            tags.extend(item[4]["tag"] for item in restored.pop_due(cycle))
         # ready-cycle order, program order within a cycle — including an
         # entry scheduled after the round trip (the seq counter resumed)
         assert tags == ["early", "early2", "early3", "late"]

@@ -172,8 +172,7 @@ class TestWritebackStage:
         i1 = sm.ctx.program.instructions[1]
         pipe.wbq.schedule(3, w, i0, {"dests": ()})
         pipe.wbq.schedule(3, w, i1, {"dests": ()})
-        first = pipe.wbq.pop_ready(3)
-        second = pipe.wbq.pop_ready(3)
+        first, second = pipe.wbq.pop_due(3)
         assert first[3] is i0 and second[3] is i1
 
 
